@@ -19,7 +19,7 @@ print("eigenvalues (all in [0, 2]):", np.linalg.eigvalsh(lap).round(4))
 
 # Step 2: positional features. The constant (eigenvalue ~0) eigenvector is
 # dropped; the next 3 eigenvectors become per-node positional components.
-feats = tart.graph_lap_features(g, 3)
+feats = tart.lap_features(lap, 3)
 print("\npositional features P (one row per node):\n", feats.P)
 print("their eigenvalues:", feats.eigenvalues.round(4))
 

@@ -123,7 +123,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp_x(g):
         gh = g * gain.value
-        d = x.value.shape[-1]
         term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
         return inv * term
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import graphs as gc
 from . import tokens as tk
 from .config import ConfigError, load_config, reference_doc
-from .harness import (DegenerateInput, TrainConfig, compare_modes,
+from .harness import (DegenerateInput, HarnessError, TrainConfig, compare_modes,
                       kendall_tau_b, predict, tau_table, train_predictor)
 from .model import EncoderConfig, ModelError, load_model, save_model
 
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("lap", "node-only"), default="lap",
                    help="tokenization mode")
     p.add_argument("--d-p", type=int, default=3, help="positional feature width")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tokenization threads")
 
     p = sub.add_parser("train", help="train a predictor and write checkpoint + history CSV",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
@@ -69,10 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="training seed (default: TART_SEED env or 0)")
     p.add_argument("--train-frac", type=float, default=0.5,
-                   help="fraction of records used for training; rest is held out")
+                   help="fraction of records used for training, in (0, 1]; rest is held out")
     p.add_argument("--out-model", required=True, help="checkpoint output path")
     p.add_argument("--history", required=True, help="per-epoch history CSV output path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tokenization threads")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint: per-target Kendall-Tau as JSON",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -94,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (default: TART_SEED env or 0)")
     p.add_argument("--train-frac", type=float, default=0.5,
-                   help="fraction of records used for training")
+                   help="fraction of records used for training, in (0, 1]")
     p.add_argument("--out-csv", default=None, help="write long-format comparison CSV here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tokenization threads")
     return parser
 
 
@@ -105,24 +102,26 @@ def _seed_of(args) -> int:
 
 
 def _load_split(path: str, train_frac: float, seed: int) -> gc.DatasetSplit:
+    if not 0.0 < train_frac <= 1.0:
+        raise gc.InvalidSpec(f"--train-frac must be in (0, 1], got {train_frac}")
     records = gc.read_dataset(path)
     n_train = int(round(train_frac * len(records)))
     return gc.split_dataset(records, n_train, seed)
 
 
-def _train_config(cfg: dict, seed: int, jobs: int, mode=None, epochs=None) -> TrainConfig:
+def _train_config(cfg: dict, seed: int, mode=None, epochs=None) -> TrainConfig:
     model = EncoderConfig(
         n_layer=cfg["model.n_layer"], d_model=cfg["model.d_model"],
         n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
         dropout_p=cfg["model.dropout"],
-        input_width=tk.token_width(1, cfg["tokenizer.d_p"]),
+        input_width=tk.token_width(cfg["tokenizer.d_p"]),
         pooling=cfg["model.pooling"],
     )
     return TrainConfig(
         epochs=epochs if epochs is not None else cfg["train.epochs"],
         batch_size=cfg["train.batch_size"], seed=seed, model=model,
         mode=mode if mode is not None else cfg["train.mode"],
-        lr=cfg["train.lr"], d_p=cfg["tokenizer.d_p"], jobs=jobs,
+        lr=cfg["train.lr"], d_p=cfg["tokenizer.d_p"],
     )
 
 
@@ -164,8 +163,7 @@ def cmd_tokenize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    mats = tk.tokenize_many([r.graph for r in records], args.mode,
-                            d_p=args.d_p, jobs=args.jobs)
+    mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=args.d_p)
     token_elements = 0
     onehot_elements = 0
     for rec, tm in zip(records, mats):
@@ -183,7 +181,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _seed_of(args)
     split = _load_split(args.data, args.train_frac, seed)
-    tcfg = _train_config(cfg, seed, args.jobs)
+    tcfg = _train_config(cfg, seed)
     model, history = train_predictor(split, tcfg)
     save_model(model, args.out_model)
     with open(args.history, "w", encoding="utf-8", newline="\n") as fh:
@@ -212,8 +210,8 @@ def cmd_compare(args) -> int:
     seed = _seed_of(args)
     trials = args.trials if args.trials is not None else cfg["harness.trials"]
     split = _load_split(args.data, args.train_frac, seed)
-    cfg_pure = _train_config(cfg, seed, args.jobs, mode="pure", epochs=args.epochs)
-    cfg_tart = _train_config(cfg, seed, args.jobs, mode="tart", epochs=args.epochs)
+    cfg_pure = _train_config(cfg, seed, mode="pure", epochs=args.epochs)
+    cfg_tart = _train_config(cfg, seed, mode="tart", epochs=args.epochs)
     comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=trials, base_seed=seed)
     print(comparison.to_text())
     csv_text = comparison.to_csv()
@@ -235,7 +233,8 @@ def main(argv=None) -> int:
     except DegenerateInput as exc:
         print(f"error: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (gc.InvalidSpec, gc.ParseError, gc.ValidationError, ConfigError) as exc:
+    except (gc.InvalidSpec, gc.ParseError, gc.ValidationError, ConfigError,
+            HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, gc.GraphError, ModelError, tk.TokenizerError, ValueError) as exc:

@@ -10,15 +10,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (default, parser, help)
 DEFAULTS = {
     "model.n_layer": (2, int, "encoder layers"),
@@ -32,19 +23,12 @@ DEFAULTS = {
     "train.lr": (1e-3, float, "Adam learning rate"),
     "train.mode": ("tart", str, "tokenization mode: tart (LAP) or pure (node-only)"),
     "tokenizer.d_p": (3, int, "positional feature width"),
-    "tokenizer.raw_codes": (False, _bool, "use raw op codes instead of code/15"),
-    "tokenizer.normalize_ids": (False, _bool, "divide edge endpoint ids by N-1"),
-    "spectral.operator": ("laplacian", str, "spectral operator: laplacian or adjacency"),
-    "spectral.keep_trivial": (False, _bool, "keep near-zero eigenpairs"),
     "harness.trials": (5, int, "trials per experiment (averaged)"),
-    "harness.resplit_per_seed": (False, _bool, "re-split data per trial seed instead of "
-                                               "reinitializing the model only"),
 }
 
 _VALID_CHOICES = {
     "model.pooling": ("mean", "cls"),
     "train.mode": ("tart", "pure"),
-    "spectral.operator": ("laplacian", "adjacency"),
 }
 
 

@@ -251,6 +251,8 @@ def read_dataset(path) -> list:
 
 def split_dataset(records: Sequence[LabeledGraph], n_train: int, seed: int) -> DatasetSplit:
     """Deterministic shuffled split: first n_train shuffled records train, rest test."""
+    if n_train < 0:
+        raise InvalidSpec(f"n_train must be >= 0, got {n_train}")
     if n_train > len(records):
         raise NotEnoughRecords(f"requested {n_train} train records, only {len(records)} available")
     rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class TrainConfig:
     mode: str = "tart"  # "tart" (LAP tokens) or "pure" (node-only baseline)
     lr: float = 1e-4
     d_p: int = 3
-    jobs: int = 1
     eval_each_epoch: bool = True
 
     def __post_init__(self):
@@ -97,9 +96,9 @@ def tau_table(predictions: np.ndarray, targets: np.ndarray) -> dict:
 
 
 def predict(model: PredictorModel, graphs, mode: str, d_p: int = 3,
-            batch_size: int = 64, jobs: int = 1) -> np.ndarray:
+            batch_size: int = 64) -> np.ndarray:
     """Eval-mode predictions for a sequence of graphs, in input order."""
-    mats = tokenize_many(graphs, _tokenizer_mode(mode), d_p=d_p, jobs=jobs)
+    mats = tokenize_many(graphs, _tokenizer_mode(mode), d_p=d_p)
     r_max = max(tm.num_rows for tm in mats)
     rows = []
     for start in range(0, len(mats), batch_size):
@@ -123,7 +122,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         raise HarnessError("training split contains unlabeled records")
 
     mode = _tokenizer_mode(cfg.mode)
-    train_mats = tokenize_many([r.graph for r in split.train], mode, d_p=cfg.d_p, jobs=cfg.jobs)
+    train_mats = tokenize_many([r.graph for r in split.train], mode, d_p=cfg.d_p)
     train_targets = _targets_matrix(split.train)
     target_stats = compute_target_stats(train_targets)
 
@@ -151,8 +150,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             step += 1
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
         if test_labeled and cfg.eval_each_epoch:
-            preds = predict(model, [r.graph for r in split.test], cfg.mode,
-                            d_p=cfg.d_p, jobs=cfg.jobs)
+            preds = predict(model, [r.graph for r in split.test], cfg.mode, d_p=cfg.d_p)
             entry["tau"] = tau_table(preds, test_targets)
         history.append(entry)
     return model, history
@@ -187,9 +185,7 @@ def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
     per_seed = []
     for trial in range(n_trials):
         seed = base_seed + trial
-        trial_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed,
-                                model=cfg.model, mode=cfg.mode, lr=cfg.lr, d_p=cfg.d_p,
-                                jobs=cfg.jobs, eval_each_epoch=False)
+        trial_cfg = replace(cfg, seed=seed, eval_each_epoch=False)
         model, _ = train_predictor(split, trial_cfg)
         tau = evaluate_predictor(model, split.test, cfg.mode, d_p=cfg.d_p)
         per_seed.append({"seed": seed, "tau": tau})

@@ -1,9 +1,8 @@
-"""Graph Laplacians, eigenvector positional features, and the ORF alternative.
+"""Graph Laplacians and eigenvector positional features.
 
 Positional features for tokenization come from the symmetric normalized
 Laplacian of the symmetrized graph: eigenvectors of the d_p smallest
-nonzero eigenvalues, with a deterministic sign convention. An adjacency
-operator and a keep-trivial switch are available for ablation.
+nonzero eigenvalues, with a deterministic sign convention.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ class SpectralFeatures:
     eigenvalues: np.ndarray
     is_padded: np.ndarray
     d_p: int
-    sign_convention: str
 
     @property
     def num_nodes(self) -> int:
@@ -69,36 +67,26 @@ def build_normalized_laplacian(graph: ComputationalGraph) -> np.ndarray:
     return lap
 
 
-def _apply_sign_convention(vectors: np.ndarray, convention, pivot_tol=SIGN_PIVOT_TOL) -> np.ndarray:
+def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     """Fix the arbitrary sign of each eigenvector column.
 
-    'first_nonzero_positive' flips so the first entry above pivot_tol
-    (by node index) is positive; ('random_flip', seed) multiplies each
-    column by a seeded +-1 draw, for training-time augmentation.
+    Each column is flipped so that its first entry above SIGN_PIVOT_TOL
+    (by node index) is positive.
     """
     out = vectors.copy()
-    if convention == "first_nonzero_positive":
-        for j in range(out.shape[1]):
-            col = out[:, j]
-            idx = np.flatnonzero(np.abs(col) > pivot_tol)
-            if idx.size and col[idx[0]] < 0:
-                out[:, j] = -col
-        return out
-    if isinstance(convention, tuple) and convention[0] == "random_flip":
-        rng = np.random.default_rng(convention[1])
-        flips = rng.integers(0, 2, size=out.shape[1]) * 2 - 1
-        return out * flips[None, :]
-    raise ValueError(f"unknown sign convention: {convention!r}")
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > SIGN_PIVOT_TOL)
+        if idx.size and col[idx[0]] < 0:
+            out[:, j] = -col
+    return out
 
 
-def lap_features(lap: np.ndarray, d_p: int,
-                 convention="first_nonzero_positive",
-                 keep_trivial: bool = False) -> SpectralFeatures:
+def lap_features(lap: np.ndarray, d_p: int) -> SpectralFeatures:
     """Eigenvectors of the d_p smallest non-trivial eigenvalues of a symmetric matrix.
 
     Trivial eigenpairs (|lambda| < 1e-9, one per connected component of
-    the Laplacian) are discarded unless keep_trivial is set. Missing
-    columns are zero-padded.
+    the Laplacian) are discarded. Missing columns are zero-padded.
     """
     lap = np.asarray(lap, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
@@ -111,10 +99,7 @@ def lap_features(lap: np.ndarray, d_p: int,
     except np.linalg.LinAlgError as exc:
         raise EigensolverDidNotConverge(iterations=100 * n * n) from exc
 
-    if keep_trivial:
-        selectable = np.arange(n)
-    else:
-        selectable = np.flatnonzero(np.abs(eigenvalues) >= TRIVIAL_EIGENVALUE_TOL)
+    selectable = np.flatnonzero(np.abs(eigenvalues) >= TRIVIAL_EIGENVALUE_TOL)
     chosen = selectable[:d_p]
 
     p = np.zeros((n, d_p), dtype=np.float64)
@@ -124,46 +109,6 @@ def lap_features(lap: np.ndarray, d_p: int,
         p[:, : chosen.size] = eigenvectors[:, chosen]
         values[: chosen.size] = eigenvalues[chosen]
         padded[: chosen.size] = False
-    p = _apply_sign_convention(p, convention)
+    p = _apply_sign_convention(p)
+    return SpectralFeatures(P=p, eigenvalues=values, is_padded=padded, d_p=d_p)
 
-    conv_name = convention if isinstance(convention, str) else f"random_flip({convention[1]})"
-    return SpectralFeatures(P=p, eigenvalues=values, is_padded=padded,
-                            d_p=d_p, sign_convention=conv_name)
-
-
-def graph_lap_features(graph: ComputationalGraph, d_p: int,
-                       convention="first_nonzero_positive",
-                       operator: str = "laplacian",
-                       keep_trivial: bool = False) -> SpectralFeatures:
-    """Convenience wrapper: build the spectral operator for a graph, then decompose."""
-    if operator == "laplacian":
-        matrix = build_normalized_laplacian(graph)
-    elif operator == "adjacency":
-        matrix = symmetrized_adjacency(graph)
-    else:
-        raise ValueError(f"unknown spectral operator: {operator!r}")
-    return lap_features(matrix, d_p, convention=convention, keep_trivial=keep_trivial)
-
-
-def orf_features(num_nodes: int, d_p: int, seed: int) -> SpectralFeatures:
-    """Orthogonal random features: first d_p columns of Q from QR of a Gaussian matrix.
-
-    Q is made unique by forcing R's diagonal positive. Columns beyond
-    min(d_p, N) are zero-padded.
-    """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    rng = np.random.default_rng(seed)
-    gaussian = rng.standard_normal((num_nodes, num_nodes))
-    q, r = np.linalg.qr(gaussian)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[None, :]
-
-    take = min(d_p, num_nodes)
-    p = np.zeros((num_nodes, d_p), dtype=np.float64)
-    p[:, :take] = q[:, :take]
-    padded = np.ones(d_p, dtype=bool)
-    padded[:take] = False
-    return SpectralFeatures(P=p, eigenvalues=np.full(d_p, np.nan), is_padded=padded,
-                            d_p=d_p, sign_convention=f"orf({seed})")

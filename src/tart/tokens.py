@@ -1,6 +1,6 @@
 """Token-matrix assembly, batching with padding masks, and the binary dump format.
 
-A tokenized graph is an (N+M) x (d_f + 2*d_p + 4) matrix: node rows first
+A tokenized graph is an (N+M) x (1 + 2*d_p + 4) matrix: node rows first
 (feature scalar, positional block duplicated, identifier [0,1,-1,-1]),
 then edge rows in lexicographic (u,v) order (constant feature 1.0, the two
 endpoint positional blocks, identifier [1,0,u,v]). The node-only variant
@@ -9,13 +9,12 @@ keeps just the node rows with zeroed positional blocks.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .graphs import NUM_PRIMITIVES, ComputationalGraph
-from .spectral import SpectralFeatures, graph_lap_features
 
 DEFAULT_D_P = 3
 IDENTIFIER_WIDTH = 4
@@ -43,14 +42,13 @@ class WidthMismatch(TokenizerError):
     pass
 
 
-def token_width(d_f: int, d_p: int) -> int:
-    return d_f + 2 * d_p + IDENTIFIER_WIDTH
+def token_width(d_p: int) -> int:
+    return 1 + 2 * d_p + IDENTIFIER_WIDTH
 
 
 @dataclass(frozen=True)
 class TokenMatrix:
     data: np.ndarray
-    d_f: int
     d_p: int
     row_kinds: tuple
 
@@ -69,29 +67,21 @@ class PaddedBatch:
     mask: np.ndarray    # B x R_max, True = real token
 
 
-def _node_feature(code: int, raw_codes: bool) -> float:
-    return float(code) if raw_codes else code / NUM_PRIMITIVES
-
-
-def tokenize_lap(graph: ComputationalGraph, feats: SpectralFeatures,
-                 d_f: int = 1, d_p: int = DEFAULT_D_P,
-                 raw_codes: bool = False, normalize_ids: bool = False) -> TokenMatrix:
+def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures,
+                 d_p: int = DEFAULT_D_P) -> TokenMatrix:
     """Assemble the full node+edge token matrix from precomputed positional features."""
-    if d_f != 1:
-        raise TokenizerError(f"only d_f=1 is supported, got {d_f}")
     if feats.num_nodes != graph.num_nodes:
         raise FeatureGraphMismatch(feats.num_nodes, graph.num_nodes)
     if feats.d_p != d_p:
         raise FeatureGraphMismatch(feats.d_p, d_p)
 
     n, m = graph.num_nodes, graph.num_edges
-    width = token_width(d_f, d_p)
+    width = token_width(d_p)
     data = np.zeros((n + m, width), dtype=np.float64)
     kinds = []
 
-    id_scale = float(max(graph.num_nodes - 1, 1)) if normalize_ids else 1.0
     for i in range(n):
-        data[i, 0] = _node_feature(graph.node_ops[i], raw_codes)
+        data[i, 0] = graph.node_ops[i] / NUM_PRIMITIVES
         data[i, 1:1 + d_p] = feats.P[i]
         data[i, 1 + d_p:1 + 2 * d_p] = feats.P[i]
         data[i, -4:] = (0.0, 1.0, -1.0, -1.0)
@@ -101,26 +91,23 @@ def tokenize_lap(graph: ComputationalGraph, feats: SpectralFeatures,
         data[row, 0] = 1.0
         data[row, 1:1 + d_p] = feats.P[u]
         data[row, 1 + d_p:1 + 2 * d_p] = feats.P[v]
-        data[row, -4:] = (1.0, 0.0, u / id_scale, v / id_scale)
+        data[row, -4:] = (1.0, 0.0, u, v)
         kinds.append(("edge", u, v))
 
-    return TokenMatrix(data=data, d_f=d_f, d_p=d_p, row_kinds=tuple(kinds))
+    return TokenMatrix(data=data, d_p=d_p, row_kinds=tuple(kinds))
 
 
-def tokenize_node_only(graph: ComputationalGraph, d_f: int = 1, d_p: int = DEFAULT_D_P,
-                       raw_codes: bool = False) -> TokenMatrix:
+def tokenize_node_only(graph: ComputationalGraph, d_p: int = DEFAULT_D_P) -> TokenMatrix:
     """Node rows only, positional blocks zeroed: the adjacency-blind baseline encoding."""
-    if d_f != 1:
-        raise TokenizerError(f"only d_f=1 is supported, got {d_f}")
     n = graph.num_nodes
-    width = token_width(d_f, d_p)
+    width = token_width(d_p)
     data = np.zeros((n, width), dtype=np.float64)
     kinds = []
     for i in range(n):
-        data[i, 0] = _node_feature(graph.node_ops[i], raw_codes)
+        data[i, 0] = graph.node_ops[i] / NUM_PRIMITIVES
         data[i, -4:] = (0.0, 1.0, -1.0, -1.0)
         kinds.append(("node", i))
-    return TokenMatrix(data=data, d_f=d_f, d_p=d_p, row_kinds=tuple(kinds))
+    return TokenMatrix(data=data, d_p=d_p, row_kinds=tuple(kinds))
 
 
 def decode_row_kinds(matrix: TokenMatrix) -> tuple:
@@ -139,30 +126,20 @@ def decode_row_kinds(matrix: TokenMatrix) -> tuple:
     return tuple(kinds)
 
 
-def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P,
-                   sign_convention="first_nonzero_positive",
-                   operator: str = "laplacian", keep_trivial: bool = False,
-                   raw_codes: bool = False, normalize_ids: bool = False) -> TokenMatrix:
+def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> TokenMatrix:
     """One-stop tokenization: 'lap' (positional features included) or 'node-only'."""
     if mode == "node-only":
-        return tokenize_node_only(graph, d_p=d_p, raw_codes=raw_codes)
+        return tokenize_node_only(graph, d_p=d_p)
     if mode == "lap":
-        feats = graph_lap_features(graph, d_p, convention=sign_convention,
-                                   operator=operator, keep_trivial=keep_trivial)
-        return tokenize_lap(graph, feats, d_p=d_p, raw_codes=raw_codes,
-                            normalize_ids=normalize_ids)
+        # looked up on the module, so wrappers installed there (such as a tracer) see the calls
+        feats = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p)
+        return tokenize_lap(graph, feats, d_p=d_p)
     raise TokenizerError(f"unknown tokenization mode: {mode!r}")
 
 
-def tokenize_many(graphs, mode: str, d_p: int = DEFAULT_D_P, jobs: int = 1, **kwargs) -> list:
-    """Tokenize a sequence of graphs, optionally across threads.
-
-    Output order always matches input order regardless of jobs.
-    """
-    if jobs is None or jobs <= 1:
-        return [tokenize_graph(g, mode, d_p=d_p, **kwargs) for g in graphs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda g: tokenize_graph(g, mode, d_p=d_p, **kwargs), graphs))
+def tokenize_many(graphs, mode: str, d_p: int = DEFAULT_D_P) -> list:
+    """Tokenize a sequence of graphs, in input order."""
+    return [tokenize_graph(g, mode, d_p=d_p) for g in graphs]
 
 
 def pad_batch(matrices, r_max: int) -> PaddedBatch:

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from tart import cli
+from tart import config
 from tart import graphs as gc
 from tart import tokens as tk
 
@@ -146,6 +148,65 @@ class TestTrain:
                            "--history", str(tmp_path / "h.csv"))
         assert code == 2
         assert "n_layers" in err
+
+    @pytest.mark.parametrize("frac", ["-0.5", "0", "1.5"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_train_frac_out_of_range_exit_2(self, command, frac, dataset, config_file,
+                                            tmp_path, capsys):
+        outputs = (["--out-model", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]
+                   if command == "train" else ["--out-csv", str(tmp_path / "c.csv")])
+        code, _, err = run(capsys, command, "--config", str(config_file),
+                           "--data", str(dataset), "--train-frac", frac, *outputs)
+        assert code == 2
+        assert "--train-frac" in err
+
+    def test_zero_epochs_exit_2(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_CONFIG.replace("train.epochs = 1", "train.epochs = 0"))
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(dataset),
+                           "--out-model", str(tmp_path / "m.ckpt"),
+                           "--history", str(tmp_path / "h.csv"))
+        assert code == 2
+        assert "epochs" in err
+
+
+# A valid non-default value for every config key.
+NON_DEFAULT = {
+    "model.n_layer": "3",
+    "model.d_model": "16",
+    "model.n_heads": "2",
+    "model.d_ff": "64",
+    "model.dropout": "0.2",
+    "model.pooling": "cls",
+    "train.epochs": "7",
+    "train.batch_size": "8",
+    "train.lr": "0.01",
+    "train.mode": "pure",
+    "tokenizer.d_p": "4",
+    "harness.trials": "2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(config.DEFAULTS))
+def test_every_config_key_has_an_effect(key, dataset, tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(f"{key} = {NON_DEFAULT[key]}\n")
+    cfg = config.load_config(cfg_path)
+    assert cfg[key] != config.DEFAULTS[key][0]
+    if key != "harness.trials":
+        assert cli._train_config(cfg, 0) != cli._train_config(config.default_config(), 0)
+        return
+
+    trial_counts = []
+
+    def fake_compare_modes(split, cfg_pure, cfg_tart, n_trials, base_seed):
+        trial_counts.append(n_trials)
+        return SimpleNamespace(to_text=lambda: "", to_csv=lambda: "")
+
+    monkeypatch.setattr(cli, "compare_modes", fake_compare_modes)
+    assert run(capsys, "compare", "--data", str(dataset))[0] == 0
+    assert run(capsys, "compare", "--data", str(dataset), "--config", str(cfg_path))[0] == 0
+    assert trial_counts == [config.DEFAULTS[key][0], cfg[key]]
 
 
 class TestEvalAndCompare:

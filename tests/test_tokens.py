@@ -7,8 +7,12 @@ from tart import tokens as tk
 from tests.test_graphs import random_valid_graph
 
 
+def lap_features(g, d_p=3):
+    return sp.lap_features(sp.build_normalized_laplacian(g), d_p)
+
+
 def lap_tokens(g, d_p=3):
-    return tk.tokenize_lap(g, sp.graph_lap_features(g, d_p), d_p=d_p)
+    return tk.tokenize_lap(g, lap_features(g, d_p), d_p=d_p)
 
 
 class TestLapLayout:
@@ -16,7 +20,7 @@ class TestLapLayout:
         g = gc.make_graph(5, [1, 4, 4, 7, 15],
                           [(0, 1), (1, 2), (1, 3), (2, 4)])
         tm = lap_tokens(g)
-        assert tm.data.shape == (9, 11)  # (N+M) x (d_f + 2*d_p + 4)
+        assert tm.data.shape == (9, 11)  # (N+M) x (1 + 2*d_p + 4)
 
     def test_two_node_path_rows(self):
         g = gc.make_graph(2, [1, 2], [(0, 1)])
@@ -46,7 +50,7 @@ class TestLapLayout:
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_valid_graph(rng)
-            feats = sp.graph_lap_features(g, 3)
+            feats = lap_features(g)
             tm = tk.tokenize_lap(g, feats)
             for kind, row in zip(tm.row_kinds, tm.data):
                 if kind[0] == "edge":
@@ -71,16 +75,9 @@ class TestLapLayout:
 
     def test_feature_graph_mismatch(self):
         g = gc.make_graph(3, [1, 1, 1], [(0, 1)])
-        other = sp.graph_lap_features(gc.make_graph(2, [1, 1], [(0, 1)]), 3)
+        other = lap_features(gc.make_graph(2, [1, 1], [(0, 1)]))
         with pytest.raises(tk.FeatureGraphMismatch):
             tk.tokenize_lap(g, other)
-
-    def test_raw_codes_and_normalized_ids(self):
-        g = gc.make_graph(3, [5, 10, 15], [(0, 2)])
-        tm = tk.tokenize_graph(g, "lap", raw_codes=True, normalize_ids=True)
-        assert tm.data[0, 0] == 5.0
-        edge_row = tm.data[3]
-        assert edge_row[-2:] == pytest.approx([0.0, 1.0])  # (0, 2) / (N-1)
 
 
 class TestNodeOnly:
@@ -136,17 +133,6 @@ class TestPadBatch:
         g = gc.make_graph(2, [1, 2], [(0, 1)])
         with pytest.raises(tk.WidthMismatch):
             tk.pad_batch([lap_tokens(g, d_p=3), lap_tokens(g, d_p=2)], 12)
-
-
-class TestParallelTokenization:
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(21)
-        graphs = [random_valid_graph(rng) for _ in range(40)]
-        serial = tk.tokenize_many(graphs, "lap", jobs=1)
-        threaded = tk.tokenize_many(graphs, "lap", jobs=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.data, b.data)
-            assert a.row_kinds == b.row_kinds
 
 
 class TestBinaryFormat:
