@@ -27,12 +27,12 @@ print("their eigenvalues:", feats.eigenvalues.round(4))
 #   [feature | P-block | P-block | is_edge, is_node, u, v]
 # Node rows carry op_code/15 and duplicate their P row; edge rows carry a
 # constant 1.0 feature and the two endpoint P rows.
-tm = tart.tokenize_graph(g, "lap")
+tm = tart.tokenize_graph(g, "tart")
 print(f"\ntoken matrix: {tm.num_rows} x {tm.width}  (rows = N+M, width = 1 + 2*3 + 4)")
 print(tm.data)
 print("row kinds:", tm.row_kinds)
 
-# The node-only baseline keeps just the node rows and zeroes the P blocks;
+# The node-only baseline ("pure" mode) keeps just the node rows and zeroes the P blocks;
 # two graphs with the same ops but different edges tokenize identically.
 nm = tart.tokenize_node_only(g)
 print(f"\nnode-only baseline: {nm.num_rows} x {nm.width}")
@@ -41,5 +41,5 @@ print(f"\nnode-only baseline: {nm.num_rows} x {nm.width}")
 # row count with a mask marking real tokens; the encoder attends and pools
 # only over masked-true rows.
 other = tart.make_graph(2, [3, 9], [(0, 1)])
-batch = tart.pad_batch([tm, tart.tokenize_graph(other, "lap")], r_max=12)
+batch = tart.pad_batch([tm, tart.tokenize_graph(other, "tart")], r_max=12)
 print("\nbatch tensor:", batch.tokens.shape, " real tokens per graph:", batch.mask.sum(axis=1))

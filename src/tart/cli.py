@@ -12,13 +12,11 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import graphs as gc
 from . import tokens as tk
 from .config import ConfigError, load_config, reference_doc
 from .harness import (DegenerateInput, HarnessError, TrainConfig, compare_modes,
-                      kendall_tau_b, predict, tau_table, train_predictor)
+                      evaluate_predictor, train_predictor)
 from .model import EncoderConfig, ModelError, load_model, save_model
 
 EXIT_OK = 0
@@ -33,16 +31,23 @@ def _default_seed() -> int:
     return int(os.environ.get("TART_SEED", "0"))
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a removed flag must fail, not be read as a prefix of another one
+    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
     parser = argparse.ArgumentParser(
         prog="tart",
         description="Tokenize architecture graphs and train/evaluate performance predictors.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        **common,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic labeled dataset (JSONL)",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("gen", help="generate a synthetic labeled dataset (JSONL)", **common)
     p.add_argument("--count", type=int, default=400, help="number of graphs")
     p.add_argument("--max-nodes", type=int, default=16, help="upper bound on nodes per graph")
     p.add_argument("--density", type=float, default=0.3,
@@ -52,17 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (default: TART_SEED env or 0)")
     p.add_argument("--out", required=True, help="output JSONL path")
 
-    p = sub.add_parser("tokenize", help="dump binary token matrices for a dataset",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("tokenize", help="dump binary token matrices for a dataset", **common)
     p.add_argument("--in", dest="input", required=True, help="input JSONL dataset")
     p.add_argument("--out", required=True, help="output binary token file")
-    p.add_argument("--mode", choices=("lap", "node-only"), default="lap",
-                   help="tokenization mode")
-    p.add_argument("--d-p", type=int, default=3, help="positional feature width")
+    p.add_argument("--mode", choices=tk.MODES, default="tart", help="tokenization mode")
+    p.add_argument("--d-p", type=_non_negative_int, default=3, help="positional feature width")
 
     p = sub.add_parser("train", help="train a predictor and write checkpoint + history CSV",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                       epilog=reference_doc())
+                       epilog=reference_doc(), **common)
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
     p.add_argument("--seed", type=int, default=None,
@@ -72,18 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True, help="checkpoint output path")
     p.add_argument("--history", required=True, help="per-epoch history CSV output path")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint: per-target Kendall-Tau as JSON",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("eval", help="evaluate a checkpoint: per-target Kendall-Tau JSON", **common)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
-    p.add_argument("--mode", choices=("tart", "pure"), default="tart",
-                   help="tokenization mode the model was trained with")
-    p.add_argument("--d-p", type=int, default=3, help="positional feature width")
 
     p = sub.add_parser("compare",
-                       help="run node-only baseline vs LAP tokenization at equal epochs",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                       epilog=reference_doc())
+                       help="run the node-only (pure) baseline vs tart tokens at equal epochs",
+                       epilog=reference_doc(), **common)
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
     p.add_argument("--epochs", type=int, default=None,
@@ -110,18 +107,20 @@ def _load_split(path: str, train_frac: float, seed: int) -> gc.DatasetSplit:
 
 
 def _train_config(cfg: dict, seed: int, mode=None, epochs=None) -> TrainConfig:
-    model = EncoderConfig(
-        n_layer=cfg["model.n_layer"], d_model=cfg["model.d_model"],
-        n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
-        dropout_p=cfg["model.dropout"],
-        input_width=tk.token_width(cfg["tokenizer.d_p"]),
-        pooling=cfg["model.pooling"],
-    )
+    try:
+        model = EncoderConfig(
+            n_layer=cfg["model.n_layer"], d_model=cfg["model.d_model"],
+            n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
+            dropout_p=cfg["model.dropout"],
+            mode=mode if mode is not None else cfg["train.mode"],
+            d_p=cfg["tokenizer.d_p"], pooling=cfg["model.pooling"],
+        )
+    except ModelError as exc:
+        raise ConfigError(f"invalid model settings: {exc}") from exc
     return TrainConfig(
         epochs=epochs if epochs is not None else cfg["train.epochs"],
         batch_size=cfg["train.batch_size"], seed=seed, model=model,
-        mode=mode if mode is not None else cfg["train.mode"],
-        lr=cfg["train.lr"], d_p=cfg["tokenizer.d_p"],
+        mode=model.mode, lr=cfg["train.lr"],
     )
 
 
@@ -196,12 +195,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     records = gc.read_dataset(args.data)
-    if any(r.targets is None for r in records):
-        print("error: dataset contains unlabeled records", file=sys.stderr)
-        return EXIT_INVALID
-    preds = predict(model, [r.graph for r in records], args.mode, d_p=args.d_p)
-    truths = np.stack([r.targets.as_array() for r in records])
-    print(json.dumps(tau_table(preds, truths), indent=2))
+    print(json.dumps(evaluate_predictor(model, records), indent=2))
     return EXIT_OK
 
 

@@ -69,20 +69,15 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     model: EncoderConfig = field(default_factory=EncoderConfig)
-    mode: str = "tart"  # "tart" (LAP tokens) or "pure" (node-only baseline)
+    mode: str = "tart"  # must restate model.mode, the tokenizer the encoder is built for
     lr: float = 1e-4
-    d_p: int = 3
     eval_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise HarnessError(f"epochs must be >= 1, got {self.epochs}")
-        if self.mode not in ("tart", "pure"):
-            raise HarnessError(f"unknown mode: {self.mode!r}")
-
-
-def _tokenizer_mode(mode: str) -> str:
-    return "lap" if mode == "tart" else "node-only"
+        if self.mode != self.model.mode:
+            raise HarnessError(f"mode {self.mode!r} != model.mode {self.model.mode!r}")
 
 
 def _targets_matrix(records) -> np.ndarray:
@@ -95,10 +90,11 @@ def tau_table(predictions: np.ndarray, targets: np.ndarray) -> dict:
             for j, name in enumerate(TARGET_NAMES)}
 
 
-def predict(model: PredictorModel, graphs, mode: str, d_p: int = 3,
-            batch_size: int = 64) -> np.ndarray:
-    """Eval-mode predictions for a sequence of graphs, in input order."""
-    mats = tokenize_many(graphs, _tokenizer_mode(mode), d_p=d_p)
+def predict(model: PredictorModel, graphs, mode: str, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode predictions in input order; mode must restate model.config.mode."""
+    if mode != model.config.mode:
+        raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
+    mats = tokenize_many(graphs, mode, d_p=model.config.d_p)
     r_max = max(tm.num_rows for tm in mats)
     rows = []
     for start in range(0, len(mats), batch_size):
@@ -121,8 +117,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     if any(r.targets is None for r in split.train):
         raise HarnessError("training split contains unlabeled records")
 
-    mode = _tokenizer_mode(cfg.mode)
-    train_mats = tokenize_many([r.graph for r in split.train], mode, d_p=cfg.d_p)
+    train_mats = tokenize_many([r.graph for r in split.train], cfg.mode, d_p=cfg.model.d_p)
     train_targets = _targets_matrix(split.train)
     target_stats = compute_target_stats(train_targets)
 
@@ -150,19 +145,19 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             step += 1
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
         if test_labeled and cfg.eval_each_epoch:
-            preds = predict(model, [r.graph for r in split.test], cfg.mode, d_p=cfg.d_p)
+            preds = predict(model, [r.graph for r in split.test], cfg.mode)
             entry["tau"] = tau_table(preds, test_targets)
         history.append(entry)
     return model, history
 
 
-def evaluate_predictor(model: PredictorModel, test, mode: str, d_p: int = 3) -> dict:
+def evaluate_predictor(model: PredictorModel, test) -> dict:
     """Per-target tau of a trained model on labeled test records (no weight updates)."""
     if not test:
         raise HarnessError("empty test set")
     if any(r.targets is None for r in test):
         raise HarnessError("test set contains unlabeled records")
-    preds = predict(model, [r.graph for r in test], mode, d_p=d_p)
+    preds = predict(model, [r.graph for r in test], model.config.mode)
     return tau_table(preds, _targets_matrix(test))
 
 
@@ -187,7 +182,7 @@ def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
         seed = base_seed + trial
         trial_cfg = replace(cfg, seed=seed, eval_each_epoch=False)
         model, _ = train_predictor(split, trial_cfg)
-        tau = evaluate_predictor(model, split.test, cfg.mode, d_p=cfg.d_p)
+        tau = evaluate_predictor(model, split.test)
         per_seed.append({"seed": seed, "tau": tau})
     mean_tau = {name: float(np.mean([t["tau"][name] for t in per_seed]))
                 for name in TARGET_NAMES}
@@ -236,7 +231,7 @@ class Comparison:
 
 def compare_modes(split: DatasetSplit, cfg_pure: TrainConfig, cfg_tart: TrainConfig,
                   n_trials: int = 5, base_seed: int = 0) -> Comparison:
-    """Side-by-side node-only baseline versus LAP tokenization at equal budget."""
+    """Side-by-side node-only (pure) baseline versus tart tokenization at equal budget."""
     if cfg_pure.epochs != cfg_tart.epochs:
         raise HarnessError("compare requires equal epochs in both configs")
     pure = run_experiment(split, cfg_pure, n_trials=n_trials, base_seed=base_seed)

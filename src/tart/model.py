@@ -14,9 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .tokens import MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 ATTENTION_MASK_BIAS = -1e30
 
@@ -60,9 +61,14 @@ class EncoderConfig:
     n_heads: int = 4
     d_ff: int = 256
     dropout_p: float = 0.1
-    input_width: int = 11
+    mode: str = "tart"  # the tokenizer the encoder reads: one of tokens.MODES
+    d_p: int = 3
     n_targets: int = 4
     pooling: str = "mean"
+
+    @property
+    def input_width(self) -> int:
+        return token_width(self.d_p)
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -72,6 +78,10 @@ class EncoderConfig:
             raise ModelError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.pooling not in ("mean", "cls"):
             raise ModelError(f"unknown pooling: {self.pooling!r}")
+        if self.mode not in MODES:
+            raise ModelError(f"unknown tokenizer mode: {self.mode!r}")
+        if self.d_p < 0:
+            raise ModelError(f"d_p must be >= 0, got {self.d_p}")
 
 
 @dataclass

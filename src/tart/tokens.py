@@ -3,8 +3,8 @@
 A tokenized graph is an (N+M) x (1 + 2*d_p + 4) matrix: node rows first
 (feature scalar, positional block duplicated, identifier [0,1,-1,-1]),
 then edge rows in lexicographic (u,v) order (constant feature 1.0, the two
-endpoint positional blocks, identifier [1,0,u,v]). The node-only variant
-keeps just the node rows with zeroed positional blocks.
+endpoint positional blocks, identifier [1,0,u,v]). The node-only "pure"
+variant keeps just the node rows with zeroed positional blocks.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from . import spectral
 from .graphs import NUM_PRIMITIVES, ComputationalGraph
 
 DEFAULT_D_P = 3
+MODES = ("tart", "pure")  # node+edge rows with positional features; node rows only
 IDENTIFIER_WIDTH = 4
 
 TOKEN_MAGIC = b"TART"
@@ -127,10 +128,10 @@ def decode_row_kinds(matrix: TokenMatrix) -> tuple:
 
 
 def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> TokenMatrix:
-    """One-stop tokenization: 'lap' (positional features included) or 'node-only'."""
-    if mode == "node-only":
+    """One-stop tokenization: 'tart' (positional features included) or 'pure' (node rows only)."""
+    if mode == "pure":
         return tokenize_node_only(graph, d_p=d_p)
-    if mode == "lap":
+    if mode == "tart":
         # looked up on the module, so wrappers installed there (such as a tracer) see the calls
         feats = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p)
         return tokenize_lap(graph, feats, d_p=d_p)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. A5 trains 10 small models
 (2 modes x 5 seeds) and takes a few minutes; everything else is fast.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_a1_token_layout_1000_graphs():
     start = time.monotonic()
     for _ in range(1000):
         g = random_graph(rng, 64, density=0.1)
-        tm = tk.tokenize_graph(g, "lap", d_p=3)
+        tm = tk.tokenize_graph(g, "tart", d_p=3)
         assert tm.num_rows == g.num_nodes + g.num_edges
         assert tm.width == 1 + 2 * 3 + 4
         assert tk.decode_row_kinds(tm) == tm.row_kinds
@@ -105,8 +106,7 @@ def test_a4_gradient_fidelity():
 # A5 settings: fixed by the criterion (corpus size/shape, model size, epochs,
 # seeds); batch size, learning rate, d_ff, and dropout are free and were
 # chosen by a small sweep.
-A5_MODEL = EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=256,
-                         dropout_p=0.0, input_width=11)
+A5_MODEL = EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=256, dropout_p=0.0)
 
 
 @pytest.mark.slow
@@ -116,8 +116,9 @@ def test_a5_desk_scale_tokenizer_advantage():
     split = tart.split_dataset(records, 200, seed=0)
 
     def cfg(mode):
-        return TrainConfig(epochs=30, batch_size=16, seed=0, model=A5_MODEL,
-                           mode=mode, lr=2e-3, eval_each_epoch=False)
+        return TrainConfig(epochs=30, batch_size=16, seed=0,
+                           model=replace(A5_MODEL, mode=mode), mode=mode, lr=2e-3,
+                           eval_each_epoch=False)
 
     comparison = compare_modes(split, cfg("pure"), cfg("tart"),
                                n_trials=5, base_seed=100)
@@ -143,7 +144,7 @@ def test_a6_baseline_edge_blindness():
     split = tart.split_dataset(records, 30, seed=0)
     cfg = TrainConfig(epochs=2, batch_size=8, seed=0, lr=1e-3, mode="pure",
                       model=EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16,
-                                          dropout_p=0.0, input_width=11))
+                                          dropout_p=0.0, mode="pure"))
     model, _ = tart.train_predictor(split, cfg)
     from tart.harness import predict
     a = predict(model, [r.graph for r in records], "pure")

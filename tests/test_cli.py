@@ -7,6 +7,8 @@ from tart import cli
 from tart import config
 from tart import graphs as gc
 from tart import tokens as tk
+from tart.harness import evaluate_predictor
+from tart.model import load_model
 
 
 def run(capsys, *argv):
@@ -76,7 +78,7 @@ class TestTokenize:
         data.write_text(json.dumps(g) + "\n")
         out = tmp_path / "t.bin"
         code, stdout, _ = run(capsys, "tokenize", "--in", str(data), "--out", str(out),
-                              "--mode", "lap")
+                              "--mode", "tart")
         assert code == 0
         assert "g0: 9 x 11" in stdout
         assert len(tk.read_token_file(out)) == 1
@@ -87,7 +89,7 @@ class TestTokenize:
              "edges": [[0, 1], [1, 2], [1, 3], [2, 4]]}
         data.write_text(json.dumps(g) + "\n")
         code, stdout, _ = run(capsys, "tokenize", "--in", str(data),
-                              "--out", str(tmp_path / "t.bin"), "--mode", "node-only")
+                              "--out", str(tmp_path / "t.bin"), "--mode", "pure")
         assert code == 0
         assert "g0: 5 x 11" in stdout
 
@@ -100,6 +102,13 @@ class TestTokenize:
                            "--out", str(tmp_path / "t.bin"))
         assert code == 2
         assert "bad1" in err
+
+    def test_negative_d_p_exit_2(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tokenize", "--in", str(dataset), "--out", str(tmp_path / "t.bin"),
+                      "--d-p", "-1"])
+        assert exc.value.code == 2
+        assert "--d-p" in capsys.readouterr().err
 
     def test_reduction_ratio_printed(self, dataset, tmp_path, capsys):
         code, stdout, _ = run(capsys, "tokenize", "--in", str(dataset),
@@ -159,6 +168,17 @@ class TestTrain:
                            "--data", str(dataset), "--train-frac", frac, *outputs)
         assert code == 2
         assert "--train-frac" in err
+
+    @pytest.mark.parametrize("setting,named", [("model.n_heads = 3", "n_heads"),
+                                               ("tokenizer.d_p = -1", "d_p")])
+    def test_invalid_model_setting_exit_2(self, setting, named, dataset, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + setting + "\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--data", str(dataset),
+                           "--out-model", str(tmp_path / "m.ckpt"),
+                           "--history", str(tmp_path / "h.csv"))
+        assert code == 2
+        assert named in err
 
     def test_zero_epochs_exit_2(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
@@ -221,6 +241,37 @@ class TestEvalAndCompare:
         assert code == 0
         table = json.loads(stdout)
         assert set(table) == set(gc.TARGET_NAMES)
+
+    def test_eval_uses_the_checkpoint_tokenizer(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "pure.cfg"
+        cfg.write_text(TINY_CONFIG + "train.mode = pure\ntokenizer.d_p = 4\n")
+        ckpt = tmp_path / "m.ckpt"
+        code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(dataset),
+                         "--out-model", str(ckpt), "--history", str(tmp_path / "h.csv"))
+        assert code == 0
+        code, stdout, _ = run(capsys, "eval", "--model", str(ckpt), "--data", str(dataset))
+        assert code == 0
+        expected = evaluate_predictor(load_model(ckpt), gc.read_dataset(dataset))
+        assert stdout == json.dumps(expected, indent=2) + "\n"
+
+    def test_eval_removed_mode_flag_exit_2(self, dataset, tmp_path, capsys):
+        # without allow_abbrev=False, --mode would be read as a prefix of --model
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--model", str(tmp_path / "m.ckpt"), "--data", str(dataset),
+                      "--mode", "pure"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_eval_empty_dataset_exit_2(self, dataset, config_file, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, _ = run(capsys, "train", "--config", str(config_file), "--data", str(dataset),
+                         "--out-model", str(ckpt), "--history", str(tmp_path / "h.csv"))
+        assert code == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(empty))
+        assert code == 2
+        assert "empty test set" in err
 
     def test_compare_csv_row_count(self, dataset, config_file, tmp_path, capsys):
         csv_path = tmp_path / "c.csv"

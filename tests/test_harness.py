@@ -31,11 +31,11 @@ def small_split(count=24, seed=0, n_train=16):
     return tart.split_dataset(records, n_train, seed=seed)
 
 
-def tiny_train_config(**overrides):
+def tiny_train_config(mode="tart", **overrides):
     base = dict(
-        epochs=1, batch_size=8, seed=0, lr=1e-3, mode="tart",
+        epochs=1, batch_size=8, seed=0, lr=1e-3, mode=mode,
         model=EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16,
-                            dropout_p=0.0, input_width=11))
+                            dropout_p=0.0, mode=mode))
     base.update(overrides)
     return hn.TrainConfig(**base)
 
@@ -164,6 +164,20 @@ class TestTrainPredictor:
             test=split.test)
         with pytest.raises(hn.HarnessError):
             tart.train_predictor(broken, tiny_train_config())
+
+
+class TestTokenizerMode:
+    def test_train_config_mode_must_match_encoder(self):
+        with pytest.raises(hn.HarnessError):
+            hn.TrainConfig(mode="pure")
+
+    def test_predict_rejects_other_mode(self):
+        pure = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16,
+                                             mode="pure"), seed=0)
+        graphs = [r.graph for r in small_split().test]
+        assert hn.predict(pure, graphs, "pure").shape == (len(graphs), 4)
+        with pytest.raises(hn.HarnessError):
+            hn.predict(pure, graphs, "tart")
 
 
 class TestRunExperiment:

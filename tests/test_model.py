@@ -6,8 +6,7 @@ from tart import model as md
 
 
 def tiny_config(**overrides):
-    base = dict(n_layer=2, d_model=16, n_heads=2, d_ff=24, dropout_p=0.0,
-                input_width=11, n_targets=4)
+    base = dict(n_layer=2, d_model=16, n_heads=2, d_ff=24, dropout_p=0.0, n_targets=4)
     base.update(overrides)
     return md.EncoderConfig(**base)
 
@@ -280,12 +279,22 @@ class TestAdam:
             md.adam_step(model, grads, state)
 
 
+class TestEncoderConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "lap"}, {"mode": "node-only"}, {"d_p": -1}, {"n_heads": 3},
+    ])
+    def test_invalid_settings_rejected(self, overrides):
+        with pytest.raises(md.ModelError):
+            tiny_config(**overrides)
+
+
 class TestParameterCount:
     @pytest.mark.parametrize("cfg", [
         tiny_config(),
         tiny_config(n_layer=1, d_model=8, n_heads=2, d_ff=8),
         tiny_config(pooling="cls"),
         tiny_config(n_layer=3, d_model=32, n_heads=4, d_ff=64, n_targets=1),
+        tiny_config(mode="pure", d_p=5),
     ])
     def test_closed_form_matches_actual(self, cfg):
         model = md.init_model(cfg, seed=0)
@@ -294,10 +303,11 @@ class TestParameterCount:
 
 
 class TestCheckpoint:
-    def test_round_trip_forward_identical(self, tmp_path):
+    @pytest.mark.parametrize("mode,d_p", [("tart", 3), ("pure", 4)])
+    def test_round_trip_forward_identical(self, tmp_path, mode, d_p):
         rng = np.random.default_rng(15)
-        model = md.init_model(tiny_config(), seed=1)
-        tokens, mask = random_batch(rng)
+        model = md.init_model(tiny_config(mode=mode, d_p=d_p), seed=1)
+        tokens, mask = random_batch(rng, c=model.config.input_width)
         before = md.encoder_forward(model, tokens, mask).value
         path = tmp_path / "m.ckpt"
         md.save_model(model, path)
@@ -315,12 +325,14 @@ class TestCheckpoint:
         with pytest.raises(md.CorruptFile):
             md.load_model(path)
 
-    def test_version_mismatch(self, tmp_path):
+    # version 1 predates the tokenizer fields: its mode cannot be known, so it is rejected
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_version_mismatch(self, tmp_path, version):
         model = md.init_model(tiny_config(), seed=1)
         path = tmp_path / "m.ckpt"
         md.save_model(model, path)
         blob = bytearray(path.read_bytes())
-        blob[7:11] = (99).to_bytes(4, "little")
+        blob[7:11] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(md.VersionMismatch):
             md.load_model(path)

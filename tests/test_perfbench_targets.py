@@ -1,10 +1,13 @@
-"""The benchmark's traced run wraps tart functions by module attribute.
+"""The benchmark calls tart's API from `perfbench/`: tracer targets and workloads.
 
-Installing its tracer looks up every wrapped name, so a rename or deletion
-of one of them fails here, in the main suite, and not only in the
-benchmark's own self-test.
+Installing its tracer looks up every wrapped name, and running each workload
+at its smoke size calls everything else the benchmark uses, so a rename,
+deletion or signature change that breaks the benchmark fails here, in the
+main suite, and not only in the benchmark's own self-test.
 """
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,3 +21,17 @@ def test_tracer_patch_targets_exist(monkeypatch):
         for (mod, attr, _), original in zip(tracing.PLAIN_SPANS, originals):
             assert getattr(mod, attr) is not original
     assert [getattr(mod, attr) for mod, attr, _ in tracing.PLAIN_SPANS] == originals
+
+
+@pytest.mark.parametrize("name", ["train", "score_batch", "score_online"])
+def test_workload_runs_at_smoke_size(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](tmp_path, 0, workloads.SMOKE)
+    workload.setup()
+    units = []
+    for _ in range(workload.min_units + 1):
+        workloads._run_checked(workload, units)
+    workload.quality(units)
+    assert workload.failures == []
