@@ -30,7 +30,8 @@ print("their eigenvalues:", feats.eigenvalues.round(4))
 tm = tart.tokenize_graph(g, "tart")
 print(f"\ntoken matrix: {tm.num_rows} x {tm.width}  (rows = N+M, width = 1 + 2*3 + 4)")
 print(tm.data)
-print("row kinds:", tm.row_kinds)
+# The identifier columns alone say what each row is.
+print("row kinds:", tart.tokens.decode_row_kinds(tm))
 
 # The node-only baseline ("pure" mode) keeps just the node rows and zeroes the P blocks;
 # two graphs with the same ops but different edges tokenize identically.

@@ -113,7 +113,7 @@ def _train_config(cfg: dict, seed: int, mode=None, epochs=None) -> TrainConfig:
             n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
             dropout_p=cfg["model.dropout"],
             mode=mode if mode is not None else cfg["train.mode"],
-            d_p=cfg["tokenizer.d_p"], pooling=cfg["model.pooling"],
+            d_p=cfg["tokenizer.d_p"],
         )
     except ModelError as exc:
         raise ConfigError(f"invalid model settings: {exc}") from exc

@@ -5,6 +5,8 @@ Unknown keys are rejected so typos fail loudly.
 """
 from __future__ import annotations
 
+from .tokens import MODES
+
 
 class ConfigError(ValueError):
     pass
@@ -17,7 +19,6 @@ DEFAULTS = {
     "model.n_heads": (4, int, "attention heads (must divide d_model)"),
     "model.d_ff": (128, int, "feed-forward hidden width"),
     "model.dropout": (0.1, float, "dropout probability in [0, 1)"),
-    "model.pooling": ("mean", str, "token pooling: mean or cls"),
     "train.epochs": (30, int, "training epochs"),
     "train.batch_size": (32, int, "minibatch size"),
     "train.lr": (1e-3, float, "Adam learning rate"),
@@ -26,10 +27,8 @@ DEFAULTS = {
     "harness.trials": (5, int, "trials per experiment (averaged)"),
 }
 
-_VALID_CHOICES = {
-    "model.pooling": ("mean", "cls"),
-    "train.mode": ("tart", "pure"),
-}
+# checked at parse time: `compare` overrides train.mode, so no later check sees a bad value
+_VALID_CHOICES = {"train.mode": MODES}
 
 
 def default_config() -> dict:

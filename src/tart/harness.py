@@ -76,6 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise HarnessError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise HarnessError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode != self.model.mode:
             raise HarnessError(f"mode {self.mode!r} != model.mode {self.model.mode!r}")
 

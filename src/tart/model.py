@@ -14,10 +14,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graphs import TARGET_NAMES
 from .tokens import MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 ATTENTION_MASK_BIAS = -1e30
 
@@ -63,21 +64,20 @@ class EncoderConfig:
     dropout_p: float = 0.1
     mode: str = "tart"  # the tokenizer the encoder reads: one of tokens.MODES
     d_p: int = 3
-    n_targets: int = 4
-    pooling: str = "mean"
 
     @property
     def input_width(self) -> int:
         return token_width(self.d_p)
 
     def __post_init__(self):
+        for name in ("n_layer", "d_model", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ShapeMismatch(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ModelError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.pooling not in ("mean", "cls"):
-            raise ModelError(f"unknown pooling: {self.pooling!r}")
         if self.mode not in MODES:
             raise ModelError(f"unknown tokenizer mode: {self.mode!r}")
         if self.d_p < 0:
@@ -100,19 +100,14 @@ def parameter_names(config: EncoderConfig) -> list:
                   f"layer{i}.ffn.w1", f"layer{i}.ffn.b1",
                   f"layer{i}.ffn.w2", f"layer{i}.ffn.b2"]
     names += ["head.w", "head.b"]
-    if config.pooling == "cls":
-        names.append("cls")
     return names
 
 
 def parameter_count(config: EncoderConfig) -> int:
     """Closed-form parameter total for a config."""
-    c, d, ff, t = config.input_width, config.d_model, config.d_ff, config.n_targets
+    c, d, ff, t = config.input_width, config.d_model, config.d_ff, len(TARGET_NAMES)
     per_layer = 4 * (d * d + d) + 4 * d + (d * ff + ff) + (ff * d + d)
-    total = (c * d + d) + config.n_layer * per_layer + (d * t + t)
-    if config.pooling == "cls":
-        total += d
-    return total
+    return (c * d + d) + config.n_layer * per_layer + (d * t + t)
 
 
 def _init_matrix(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -146,10 +141,8 @@ def init_model(config: EncoderConfig, seed: int) -> PredictorModel:
         vec(f"layer{i}.ffn.b1", ff)
         mat(f"layer{i}.ffn.w2", ff, d)
         vec(f"layer{i}.ffn.b2", d)
-    mat("head.w", d, config.n_targets)
-    vec("head.b", config.n_targets)
-    if config.pooling == "cls":
-        params["cls"] = Tensor(rng.normal(0.0, 0.02, size=d))
+    mat("head.w", d, len(TARGET_NAMES))
+    vec("head.b", len(TARGET_NAMES))
     return PredictorModel(config=config, params=params)
 
 
@@ -193,12 +186,6 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         raise ShapeMismatch(f"mask shape {mask.shape} != {tokens.shape[:2]}")
 
     mask = mask.astype(bool)
-    if cfg.pooling == "cls":
-        b = tokens.shape[0]
-        cls_row = np.zeros((b, 1, cfg.input_width))
-        tokens = np.concatenate([cls_row, tokens], axis=1)
-        mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
-
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise MaskEmpty(int(np.argmin(counts)))
@@ -206,12 +193,6 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
     x = ad.linear(Tensor(tokens), p["input_proj.w"], p["input_proj.b"])
-    if cfg.pooling == "cls":
-        # learned cls embedding lands on the zero row prepended above
-        bump = np.zeros_like(x.value)
-        bump[:, 0, :] = p["cls"].value
-        x = Tensor(x.value + bump, ((x, lambda g: g),
-                                    (p["cls"], lambda g: g[:, 0, :].sum(axis=0))))
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
@@ -230,21 +211,10 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         if not np.all(np.isfinite(x.value)):
             raise NonFiniteActivation(f"layer{i}")
 
-    if cfg.pooling == "cls":
-        pooled_val = x.value[:, 0, :]
-        pooled = Tensor(pooled_val, ((x, lambda g: _scatter_cls(g, x.value.shape)),))
-    else:
-        pooled = ad.masked_mean(x, mask)
-    preds = ad.linear(pooled, p["head.w"], p["head.b"])
+    preds = ad.linear(ad.masked_mean(x, mask), p["head.w"], p["head.b"])
     if not np.all(np.isfinite(preds.value)):
         raise NonFiniteActivation("head")
     return preds
-
-
-def _scatter_cls(g: np.ndarray, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    out[:, 0, :] = g
-    return out
 
 
 def compute_target_stats(targets: np.ndarray):

@@ -49,9 +49,8 @@ def token_width(d_p: int) -> int:
 
 @dataclass(frozen=True)
 class TokenMatrix:
+    """One graph's token rows; the identifier columns say what each row is."""
     data: np.ndarray
-    d_p: int
-    row_kinds: tuple
 
     @property
     def num_rows(self) -> int:
@@ -68,47 +67,36 @@ class PaddedBatch:
     mask: np.ndarray    # B x R_max, True = real token
 
 
-def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures,
-                 d_p: int = DEFAULT_D_P) -> TokenMatrix:
+def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
+    """One row per node: op code / 15, the node's positional row twice, [0, 1, -1, -1]."""
+    d_p = P.shape[1]
+    rows = np.zeros((graph.num_nodes, token_width(d_p)), dtype=np.float64)
+    rows[:, 0] = np.asarray(graph.node_ops) / NUM_PRIMITIVES
+    rows[:, 1:1 + d_p] = P
+    rows[:, 1 + d_p:1 + 2 * d_p] = P
+    rows[:, -4:] = (0.0, 1.0, -1.0, -1.0)
+    return rows
+
+
+def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) -> TokenMatrix:
     """Assemble the full node+edge token matrix from precomputed positional features."""
     if feats.num_nodes != graph.num_nodes:
         raise FeatureGraphMismatch(feats.num_nodes, graph.num_nodes)
-    if feats.d_p != d_p:
-        raise FeatureGraphMismatch(feats.d_p, d_p)
 
-    n, m = graph.num_nodes, graph.num_edges
-    width = token_width(d_p)
-    data = np.zeros((n + m, width), dtype=np.float64)
-    kinds = []
-
-    for i in range(n):
-        data[i, 0] = graph.node_ops[i] / NUM_PRIMITIVES
-        data[i, 1:1 + d_p] = feats.P[i]
-        data[i, 1 + d_p:1 + 2 * d_p] = feats.P[i]
-        data[i, -4:] = (0.0, 1.0, -1.0, -1.0)
-        kinds.append(("node", i))
-
-    for row, (u, v) in enumerate(sorted(graph.edges), start=n):
-        data[row, 0] = 1.0
-        data[row, 1:1 + d_p] = feats.P[u]
-        data[row, 1 + d_p:1 + 2 * d_p] = feats.P[v]
-        data[row, -4:] = (1.0, 0.0, u, v)
-        kinds.append(("edge", u, v))
-
-    return TokenMatrix(data=data, d_p=d_p, row_kinds=tuple(kinds))
+    d_p = feats.d_p
+    pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    edges = np.zeros((len(pairs), token_width(d_p)), dtype=np.float64)
+    edges[:, 0] = 1.0
+    edges[:, 1:1 + d_p] = feats.P[pairs[:, 0]]
+    edges[:, 1 + d_p:1 + 2 * d_p] = feats.P[pairs[:, 1]]
+    edges[:, -4] = 1.0
+    edges[:, -2:] = pairs
+    return TokenMatrix(data=np.concatenate([_node_rows(graph, feats.P), edges]))
 
 
 def tokenize_node_only(graph: ComputationalGraph, d_p: int = DEFAULT_D_P) -> TokenMatrix:
     """Node rows only, positional blocks zeroed: the adjacency-blind baseline encoding."""
-    n = graph.num_nodes
-    width = token_width(d_p)
-    data = np.zeros((n, width), dtype=np.float64)
-    kinds = []
-    for i in range(n):
-        data[i, 0] = graph.node_ops[i] / NUM_PRIMITIVES
-        data[i, -4:] = (0.0, 1.0, -1.0, -1.0)
-        kinds.append(("node", i))
-    return TokenMatrix(data=data, d_p=d_p, row_kinds=tuple(kinds))
+    return TokenMatrix(data=_node_rows(graph, np.zeros((graph.num_nodes, d_p))))
 
 
 def decode_row_kinds(matrix: TokenMatrix) -> tuple:
@@ -134,7 +122,7 @@ def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P)
     if mode == "tart":
         # looked up on the module, so wrappers installed there (such as a tracer) see the calls
         feats = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p)
-        return tokenize_lap(graph, feats, d_p=d_p)
+        return tokenize_lap(graph, feats)
     raise TokenizerError(f"unknown tokenization mode: {mode!r}")
 
 
@@ -170,7 +158,8 @@ def one_hot_element_count(graph: ComputationalGraph) -> int:
 # -- Binary dump format -------------------------------------------------------
 
 def _row_tags(matrix: TokenMatrix) -> bytes:
-    return bytes(TAG_NODE if kind[0] == "node" else TAG_EDGE for kind in matrix.row_kinds)
+    is_edge = matrix.data[:, -IDENTIFIER_WIDTH] == 1.0
+    return np.where(is_edge, TAG_EDGE, TAG_NODE).astype(np.uint8).tobytes()
 
 
 def write_token_file(path, entries) -> None:

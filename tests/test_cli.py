@@ -170,7 +170,13 @@ class TestTrain:
         assert "--train-frac" in err
 
     @pytest.mark.parametrize("setting,named", [("model.n_heads = 3", "n_heads"),
-                                               ("tokenizer.d_p = -1", "d_p")])
+                                               ("tokenizer.d_p = -1", "d_p"),
+                                               ("model.d_model = 0", "d_model"),
+                                               ("model.n_heads = 0", "n_heads"),
+                                               ("model.d_ff = 0", "d_ff"),
+                                               ("model.n_layer = -1", "n_layer"),
+                                               ("train.batch_size = -1", "batch_size"),
+                                               ("train.batch_size = 0", "batch_size")])
     def test_invalid_model_setting_exit_2(self, setting, named, dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + setting + "\n")
@@ -197,7 +203,6 @@ NON_DEFAULT = {
     "model.n_heads": "2",
     "model.d_ff": "64",
     "model.dropout": "0.2",
-    "model.pooling": "cls",
     "train.epochs": "7",
     "train.batch_size": "8",
     "train.lr": "0.01",

@@ -6,7 +6,7 @@ from tart import model as md
 
 
 def tiny_config(**overrides):
-    base = dict(n_layer=2, d_model=16, n_heads=2, d_ff=24, dropout_p=0.0, n_targets=4)
+    base = dict(n_layer=2, d_model=16, n_heads=2, d_ff=24, dropout_p=0.0)
     base.update(overrides)
     return md.EncoderConfig(**base)
 
@@ -194,18 +194,6 @@ class TestForward:
         with pytest.raises(md.ShapeMismatch):
             md.encoder_forward(model, np.zeros((1, 3, 7)), np.ones((1, 3), dtype=bool))
 
-    def test_cls_pooling_runs_and_differs_from_mean(self):
-        rng = np.random.default_rng(14)
-        tokens, mask = random_batch(rng, holes=False)
-        mean_model = md.init_model(tiny_config(), seed=5)
-        cls_model = md.PredictorModel(config=tiny_config(pooling="cls"),
-                                      params=dict(mean_model.params))
-        cls_model.params["cls"] = ad.Tensor(np.ones(16))
-        a = md.encoder_forward(mean_model, tokens, mask)
-        b = md.encoder_forward(cls_model, tokens, mask)
-        assert a.value.shape == b.value.shape
-        assert not np.allclose(a.value, b.value)
-
 
 class TestLoss:
     def test_zero_when_equal(self):
@@ -282,6 +270,7 @@ class TestAdam:
 class TestEncoderConfig:
     @pytest.mark.parametrize("overrides", [
         {"mode": "lap"}, {"mode": "node-only"}, {"d_p": -1}, {"n_heads": 3},
+        {"d_model": 0}, {"n_heads": 0}, {"d_ff": 0}, {"n_layer": -1},
     ])
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(md.ModelError):
@@ -292,8 +281,7 @@ class TestParameterCount:
     @pytest.mark.parametrize("cfg", [
         tiny_config(),
         tiny_config(n_layer=1, d_model=8, n_heads=2, d_ff=8),
-        tiny_config(pooling="cls"),
-        tiny_config(n_layer=3, d_model=32, n_heads=4, d_ff=64, n_targets=1),
+        tiny_config(n_layer=3, d_model=32, n_heads=4, d_ff=64),
         tiny_config(mode="pure", d_p=5),
     ])
     def test_closed_form_matches_actual(self, cfg):
@@ -325,8 +313,9 @@ class TestCheckpoint:
         with pytest.raises(md.CorruptFile):
             md.load_model(path)
 
-    # version 1 predates the tokenizer fields: its mode cannot be known, so it is rejected
-    @pytest.mark.parametrize("version", [99, 1])
+    # version 1 predates the tokenizer fields, so its mode cannot be known; version 2's
+    # header names the deleted pooling and n_targets fields
+    @pytest.mark.parametrize("version", [99, 1, 2])
     def test_version_mismatch(self, tmp_path, version):
         model = md.init_model(tiny_config(), seed=1)
         path = tmp_path / "m.ckpt"

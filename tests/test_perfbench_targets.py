@@ -3,11 +3,16 @@
 Installing its tracer looks up every wrapped name, and running each workload
 at its smoke size calls everything else the benchmark uses, so a rename,
 deletion or signature change that breaks the benchmark fails here, in the
-main suite, and not only in the benchmark's own self-test.
+main suite, and not only in the benchmark's own self-test. A traced `tart`
+predict must also pass through the wrapped eigensolver and token assembly once
+per graph: a tokenizer that calls them by another name would leave those
+per-layer metrics reading 0.
 """
 from pathlib import Path
 
 import pytest
+
+from tart import graphs, harness, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +40,15 @@ def test_workload_runs_at_smoke_size(name, tmp_path, monkeypatch):
         workloads._run_checked(workload, units)
     workload.quality(units)
     assert workload.failures == []
+
+
+def test_traced_predict_reaches_token_layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    records = graphs.generate_synthetic(5, 8, 0.4, 0.0, seed=0)
+    encoder = model.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=8, dropout_p=0.0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.predict(model.init_model(encoder, seed=0), [r.graph for r in records], "tart")
+    assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == len(records)

@@ -12,7 +12,13 @@ def lap_features(g, d_p=3):
 
 
 def lap_tokens(g, d_p=3):
-    return tk.tokenize_lap(g, lap_features(g, d_p), d_p=d_p)
+    return tk.tokenize_lap(g, lap_features(g, d_p))
+
+
+def graph_row_kinds(g):
+    """Row kinds read off the graph: node indices, then its sorted edges."""
+    return tuple(("node", i) for i in range(g.num_nodes)) + tuple(
+        ("edge", u, v) for u, v in sorted(g.edges))
 
 
 class TestLapLayout:
@@ -52,22 +58,20 @@ class TestLapLayout:
             g = random_valid_graph(rng)
             feats = lap_features(g)
             tm = tk.tokenize_lap(g, feats)
-            for kind, row in zip(tm.row_kinds, tm.data):
-                if kind[0] == "edge":
-                    _, u, v = kind
-                    assert np.array_equal(row[1:4], feats.P[u])
-                    assert np.array_equal(row[4:7], feats.P[v])
+            for row, (u, v) in zip(tm.data[g.num_nodes:], sorted(g.edges), strict=True):
+                assert np.array_equal(row[1:4], feats.P[u])
+                assert np.array_equal(row[4:7], feats.P[v])
+                assert np.array_equal(row[-4:], [1, 0, u, v])
 
     def test_edge_rows_lexicographic(self):
         g = gc.make_graph(3, [1, 1, 1], [(1, 2), (0, 2), (0, 1)])
         tm = lap_tokens(g)
-        edge_kinds = [k for k in tm.row_kinds if k[0] == "edge"]
-        assert edge_kinds == [("edge", 0, 1), ("edge", 0, 2), ("edge", 1, 2)]
+        assert tm.data[3:, -2:].tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_width_identity_random_d_p(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            d_p = int(rng.integers(1, 9))
+            d_p = int(rng.integers(0, 9))
             g = random_valid_graph(rng)
             tm = lap_tokens(g, d_p=d_p)
             assert tm.width == 1 + 2 * d_p + 4
@@ -105,10 +109,9 @@ class TestIdentifierRoundTrip:
         rng = np.random.default_rng(9)
         for _ in range(50):
             g = random_valid_graph(rng)
-            tm = lap_tokens(g)
-            assert tk.decode_row_kinds(tm) == tm.row_kinds
-            nm = tk.tokenize_node_only(g)
-            assert tk.decode_row_kinds(nm) == nm.row_kinds
+            assert tk.decode_row_kinds(lap_tokens(g)) == graph_row_kinds(g)
+            assert (tk.decode_row_kinds(tk.tokenize_node_only(g))
+                    == graph_row_kinds(g)[:g.num_nodes])
 
 
 class TestPadBatch:
@@ -139,16 +142,16 @@ class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(33)
         graphs = [random_valid_graph(rng) for _ in range(5)]
+        graphs.append(gc.make_graph(4, [1, 2, 3, 4], []))  # edgeless: node tags only
         entries = [(f"g{i}", lap_tokens(g)) for i, g in enumerate(graphs)]
         path = tmp_path / "tokens.bin"
         tk.write_token_file(path, entries)
         loaded = tk.read_token_file(path)
-        assert len(loaded) == 5
-        for (rec_id, tm), (lid, data, tags) in zip(entries, loaded):
+        assert len(loaded) == 6
+        for g, (rec_id, tm), (lid, data, tags) in zip(graphs, entries, loaded):
             assert rec_id == lid
             assert np.array_equal(tm.data, data)
-            expected_tags = bytes(0 if k[0] == "node" else 1 for k in tm.row_kinds)
-            assert tags == expected_tags
+            assert tags == bytes([0] * g.num_nodes + [1] * g.num_edges)
 
     def test_header_layout(self, tmp_path):
         g = gc.make_graph(2, [1, 2], [(0, 1)])
