@@ -88,10 +88,7 @@ class PerformanceRecord:
     convergence_speed: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.clean_acc, self.noisy_acc, self.inference_speed, self.convergence_speed],
-            dtype=np.float64,
-        )
+        return np.array([getattr(self, name) for name in TARGET_NAMES], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -183,12 +180,7 @@ def _record_to_dict(rec: LabeledGraph) -> dict:
         "edges": [list(e) for e in rec.graph.edges],
     }
     if rec.targets is not None:
-        d["targets"] = {
-            "clean_acc": rec.targets.clean_acc,
-            "noisy_acc": rec.targets.noisy_acc,
-            "inference_speed": rec.targets.inference_speed,
-            "convergence_speed": rec.targets.convergence_speed,
-        }
+        d["targets"] = {name: getattr(rec.targets, name) for name in TARGET_NAMES}
     return d
 
 
@@ -210,12 +202,7 @@ def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
     if "targets" in d:
         try:
             t = d["targets"]
-            targets = PerformanceRecord(
-                clean_acc=float(t["clean_acc"]),
-                noisy_acc=float(t["noisy_acc"]),
-                inference_speed=float(t["inference_speed"]),
-                convergence_speed=float(t["convergence_speed"]),
-            )
+            targets = PerformanceRecord(**{name: float(t[name]) for name in TARGET_NAMES})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(line_no, f"malformed targets: {exc}") from exc
         if not np.all(np.isfinite(targets.as_array())):

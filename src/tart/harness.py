@@ -78,6 +78,8 @@ class TrainConfig:
             raise HarnessError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise HarnessError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.lr < np.inf:
+            raise HarnessError(f"lr must be a positive finite number, got {self.lr}")
         if self.mode != self.model.mode:
             raise HarnessError(f"mode {self.mode!r} != model.mode {self.model.mode!r}")
 
@@ -97,6 +99,8 @@ def predict(model: PredictorModel, graphs, mode: str, batch_size: int = 64) -> n
     if mode != model.config.mode:
         raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
     mats = tokenize_many(graphs, mode, d_p=model.config.d_p)
+    if not mats:
+        raise HarnessError("no graphs to predict")
     r_max = max(tm.num_rows for tm in mats)
     rows = []
     for start in range(0, len(mats), batch_size):

@@ -7,6 +7,7 @@ a single linear head mapping to the four performance targets.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 
@@ -18,7 +19,7 @@ from .graphs import TARGET_NAMES
 from .tokens import MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 ATTENTION_MASK_BIAS = -1e30
 
@@ -70,6 +71,10 @@ class EncoderConfig:
         return token_width(self.d_p)
 
     def __post_init__(self):
+        for name in ("n_layer", "d_model", "n_heads", "d_ff", "d_p"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         for name in ("n_layer", "d_model", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -90,17 +95,21 @@ class PredictorModel:
     params: dict  # name -> Tensor
 
 
-def parameter_names(config: EncoderConfig) -> list:
-    names = ["input_proj.w", "input_proj.b"]
+def parameter_shapes(config: EncoderConfig) -> dict:
+    """Name -> shape of every encoder parameter, in checkpoint order."""
+    d, ff, t = config.d_model, config.d_ff, len(TARGET_NAMES)
+    shapes = {"input_proj.w": (config.input_width, d), "input_proj.b": (d,)}
     for i in range(config.n_layer):
-        for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            names.append(f"layer{i}.attn.{part}")
-        names += [f"layer{i}.ln1.g", f"layer{i}.ln1.b",
-                  f"layer{i}.ln2.g", f"layer{i}.ln2.b",
-                  f"layer{i}.ffn.w1", f"layer{i}.ffn.b1",
-                  f"layer{i}.ffn.w2", f"layer{i}.ffn.b2"]
-    names += ["head.w", "head.b"]
-    return names
+        for part in "qkvo":
+            shapes[f"layer{i}.attn.w{part}"] = (d, d)
+            shapes[f"layer{i}.attn.b{part}"] = (d,)
+        for norm in ("ln1", "ln2"):
+            shapes[f"layer{i}.{norm}.g"] = (d,)
+            shapes[f"layer{i}.{norm}.b"] = (d,)
+        shapes.update({f"layer{i}.ffn.w1": (d, ff), f"layer{i}.ffn.b1": (ff,),
+                       f"layer{i}.ffn.w2": (ff, d), f"layer{i}.ffn.b2": (d,)})
+    shapes.update({"head.w": (d, t), "head.b": (t,)})
+    return shapes
 
 
 def parameter_count(config: EncoderConfig) -> int:
@@ -116,33 +125,14 @@ def _init_matrix(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(config: EncoderConfig, seed: int) -> PredictorModel:
+    """Matrices drawn in checkpoint order; layer-norm gains 1, every other vector 0."""
     rng = np.random.default_rng(seed)
-    d, ff = config.d_model, config.d_ff
     params = {}
-
-    def mat(name, fi, fo):
-        params[name] = Tensor(_init_matrix(rng, fi, fo))
-
-    def vec(name, size, fill=0.0):
-        params[name] = Tensor(np.full(size, fill, dtype=np.float64))
-
-    mat("input_proj.w", config.input_width, d)
-    vec("input_proj.b", d)
-    for i in range(config.n_layer):
-        for part in ("wq", "wk", "wv", "wo"):
-            mat(f"layer{i}.attn.{part}", d, d)
-        for part in ("bq", "bk", "bv", "bo"):
-            vec(f"layer{i}.attn.{part}", d)
-        vec(f"layer{i}.ln1.g", d, 1.0)
-        vec(f"layer{i}.ln1.b", d)
-        vec(f"layer{i}.ln2.g", d, 1.0)
-        vec(f"layer{i}.ln2.b", d)
-        mat(f"layer{i}.ffn.w1", d, ff)
-        vec(f"layer{i}.ffn.b1", ff)
-        mat(f"layer{i}.ffn.w2", ff, d)
-        vec(f"layer{i}.ffn.b2", d)
-    mat("head.w", d, len(TARGET_NAMES))
-    vec("head.b", len(TARGET_NAMES))
+    for name, shape in parameter_shapes(config).items():
+        if len(shape) == 2:
+            params[name] = Tensor(_init_matrix(rng, *shape))
+        else:
+            params[name] = Tensor(np.full(shape, 1.0 if name.endswith(".g") else 0.0))
     return PredictorModel(config=config, params=params)
 
 
@@ -285,23 +275,17 @@ def adam_step(model: PredictorModel, grads: dict, state: dict,
 # -- Checkpoint I/O -----------------------------------------------------------
 
 def save_model(model: PredictorModel, path) -> None:
+    """Magic, `<II` version and config length, JSON config, then every tensor's
+    little-endian float64 bytes in `parameter_shapes` order."""
     cfg_json = json.dumps(asdict(model.config)).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_json)))
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_FORMAT_VERSION, len(cfg_json)))
         fh.write(cfg_json)
-        names = parameter_names(model.config)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            payload = model.params[name].value
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", payload.ndim))
-            for dim in payload.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        for name, shape in parameter_shapes(model.config).items():
+            value = model.params[name].value
+            if value.shape != shape:
+                raise ShapeMismatch(f"parameter {name}: {value.shape} vs {shape}")
+            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
 def load_model(path) -> PredictorModel:
@@ -310,36 +294,23 @@ def load_model(path) -> PredictorModel:
     if blob[:7] != MODEL_MAGIC:
         raise CorruptFile("bad magic")
     try:
-        (version,) = struct.unpack_from("<I", blob, 7)
+        version, cfg_len = struct.unpack_from("<II", blob, 7)
         if version != MODEL_FORMAT_VERSION:
             raise VersionMismatch(f"checkpoint version {version}, expected {MODEL_FORMAT_VERSION}")
-        (cfg_len,) = struct.unpack_from("<I", blob, 11)
-        offset = 15
-        cfg = EncoderConfig(**json.loads(blob[offset:offset + cfg_len].decode("utf-8")))
-        offset += cfg_len
-        (n_tensors,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        params = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-            if data.size != size:
-                raise CorruptFile("truncated tensor payload")
-            offset += size * 8
-            params[name] = Tensor(data.reshape(dims).astype(np.float64))
+        offset = 15 + cfg_len
+        cfg = EncoderConfig(**json.loads(blob[15:offset].decode("utf-8")))
     except VersionMismatch:
         raise
     except (struct.error, json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CorruptFile(str(exc)) from exc
-    expected = set(parameter_names(cfg))
-    if set(params) != expected:
-        raise CorruptFile("parameter set does not match config")
+    # closed form first: a header naming a huge encoder fails without building its layout
+    needed = 8 * parameter_count(cfg)
+    if len(blob) - offset != needed:
+        raise CorruptFile(f"payload is {len(blob) - offset} bytes, config needs {needed}")
+    params = {}
+    for name, shape in parameter_shapes(cfg).items():
+        size = math.prod(shape)
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+        params[name] = Tensor(data.reshape(shape).astype(np.float64))
+        offset += 8 * size
     return PredictorModel(config=cfg, params=params)

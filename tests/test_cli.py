@@ -1,4 +1,5 @@
 import json
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tart import cli
 from tart import config
 from tart import graphs as gc
+from tart import model as md
 from tart import tokens as tk
 from tart.harness import evaluate_predictor
 from tart.model import load_model
@@ -176,7 +178,10 @@ class TestTrain:
                                                ("model.d_ff = 0", "d_ff"),
                                                ("model.n_layer = -1", "n_layer"),
                                                ("train.batch_size = -1", "batch_size"),
-                                               ("train.batch_size = 0", "batch_size")])
+                                               ("train.batch_size = 0", "batch_size"),
+                                               ("train.lr = -0.01", "lr"),
+                                               ("train.lr = 0", "lr"),
+                                               ("train.lr = nan", "lr")])
     def test_invalid_model_setting_exit_2(self, setting, named, dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + setting + "\n")
@@ -258,6 +263,22 @@ class TestEvalAndCompare:
         assert code == 0
         expected = evaluate_predictor(load_model(ckpt), gc.read_dataset(dataset))
         assert stdout == json.dumps(expected, indent=2) + "\n"
+
+    # a version-3 file, and a header whose n_layer is a float
+    @pytest.mark.parametrize("version,header",
+                             [(3, {}), (md.MODEL_FORMAT_VERSION, {"n_layer": 1.0})])
+    def test_eval_bad_checkpoint_exit_1(self, version, header, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        md.save_model(md.init_model(md.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16),
+                                    seed=0), ckpt)
+        blob = ckpt.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 11)
+        cfg_json = json.dumps({**json.loads(blob[15:15 + cfg_len]), **header}).encode()
+        ckpt.write_bytes(blob[:7] + struct.pack("<II", version, len(cfg_json)) + cfg_json
+                         + blob[15 + cfg_len:])
+        code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(dataset))
+        assert code == 1
+        assert err.startswith("error: ")
 
     def test_eval_removed_mode_flag_exit_2(self, dataset, tmp_path, capsys):
         # without allow_abbrev=False, --mode would be read as a prefix of --model

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,10 @@ class TestDatasetIO:
             assert a.graph.node_ops == b.graph.node_ops
             assert a.graph.edges == b.graph.edges
             assert a.targets == b.targets
+
+    def test_target_names_are_the_record_fields(self):
+        # as_array, JSONL and the model head all read targets in TARGET_NAMES order
+        assert gc.TARGET_NAMES == tuple(f.name for f in fields(gc.PerformanceRecord))
 
     def test_unlabeled_record(self, tmp_path):
         path = tmp_path / "d.jsonl"

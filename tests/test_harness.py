@@ -179,6 +179,11 @@ class TestTokenizerMode:
         with pytest.raises(hn.HarnessError):
             hn.predict(pure, graphs, "tart")
 
+    def test_predict_rejects_no_graphs(self):
+        model = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16), seed=0)
+        with pytest.raises(hn.HarnessError):
+            hn.predict(model, [], "tart")
+
 
 class TestRunExperiment:
     def test_trial_count_and_mean(self):

@@ -1,5 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tart import autodiff as ad
 from tart import model as md
@@ -51,6 +55,25 @@ def finite_difference_check(model, tokens, mask, targets, stats,
 
 
 UNIT_STATS = (np.zeros(4), np.ones(4))
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "m.ckpt"
+    md.save_model(md.init_model(tiny_config(n_layer=1, d_model=4, d_ff=4), seed=1), path)
+    return path
+
+
+def load_bytes(path, blob):
+    path.write_bytes(blob)
+    return md.load_model(path)
+
+
+def rewrite_header(blob, header):
+    """The checkpoint with `header` merged into its JSON config, payload unchanged."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 11)
+    cfg_json = json.dumps({**json.loads(blob[15:15 + cfg_len]), **header}).encode()
+    return blob[:11] + struct.pack("<I", len(cfg_json)) + cfg_json + blob[15 + cfg_len:]
 
 
 class TestAutodiffOps:
@@ -270,7 +293,7 @@ class TestAdam:
 class TestEncoderConfig:
     @pytest.mark.parametrize("overrides", [
         {"mode": "lap"}, {"mode": "node-only"}, {"d_p": -1}, {"n_heads": 3},
-        {"d_model": 0}, {"n_heads": 0}, {"d_ff": 0}, {"n_layer": -1},
+        {"d_model": 0}, {"n_heads": 0}, {"d_ff": 0}, {"n_layer": -1}, {"n_layer": 1.0},
     ])
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(md.ModelError):
@@ -304,18 +327,44 @@ class TestCheckpoint:
         assert np.array_equal(before, after)
         assert loaded.config == model.config
 
-    def test_truncated_file(self, tmp_path):
-        model = md.init_model(tiny_config(), seed=1)
-        path = tmp_path / "m.ckpt"
-        md.save_model(model, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+    @given(cut=st.integers(min_value=0))
+    @settings(max_examples=50, deadline=None)
+    def test_truncated_file(self, small_checkpoint, cut):
+        blob = small_checkpoint.read_bytes()
         with pytest.raises(md.CorruptFile):
-            md.load_model(path)
+            load_bytes(small_checkpoint.with_name("cut.ckpt"), blob[:cut % len(blob)])
+
+    @given(extra=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_appended_bytes(self, small_checkpoint, extra):
+        blob = small_checkpoint.read_bytes()
+        with pytest.raises(md.CorruptFile):
+            load_bytes(small_checkpoint.with_name("long.ckpt"), blob + extra)
+
+    @given(position=st.integers(min_value=0), value=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=200, deadline=None)
+    def test_single_byte_corruption(self, small_checkpoint, position, value):
+        blob = bytearray(small_checkpoint.read_bytes())
+        position %= len(blob)
+        blob[position] ^= value
+        try:
+            loaded = load_bytes(small_checkpoint.with_name("flip.ckpt"), bytes(blob))
+        except (md.CorruptFile, md.VersionMismatch):
+            return
+        assert {k: v.value.shape for k, v in loaded.params.items()} == \
+            md.parameter_shapes(loaded.config)
+
+    # a wider encoder, a header too large to lay out, and a non-integer size
+    @pytest.mark.parametrize("header", [{"d_model": 8}, {"n_layer": 10**9}, {"n_layer": 1.0}])
+    def test_header_not_matching_payload(self, small_checkpoint, header):
+        blob = rewrite_header(small_checkpoint.read_bytes(), header)
+        with pytest.raises(md.CorruptFile):
+            load_bytes(small_checkpoint.with_name("edited.ckpt"), blob)
 
     # version 1 predates the tokenizer fields, so its mode cannot be known; version 2's
-    # header names the deleted pooling and n_targets fields
-    @pytest.mark.parametrize("version", [99, 1, 2])
+    # header names the deleted pooling and n_targets fields; version 3 carries per-tensor
+    # name, rank and dims records
+    @pytest.mark.parametrize("version", [99, 1, 2, 3])
     def test_version_mismatch(self, tmp_path, version):
         model = md.init_model(tiny_config(), seed=1)
         path = tmp_path / "m.ckpt"
