@@ -184,13 +184,30 @@ def _record_to_dict(rec: LabeledGraph) -> dict:
     return d
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer, as is; a float, bool or string is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; a bool or string is an error, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
     try:
         rec_id = d["id"]
+        if not isinstance(rec_id, str):
+            raise TypeError(f"id must be a string, got {rec_id!r}")
         graph = ComputationalGraph(
-            num_nodes=int(d["num_nodes"]),
-            node_ops=tuple(int(c) for c in d["node_ops"]),
-            edges=tuple((int(u), int(v)) for u, v in d["edges"]),
+            num_nodes=_json_int(d["num_nodes"], "num_nodes"),
+            node_ops=tuple(_json_int(c, "op code") for c in d["node_ops"]),
+            edges=tuple((_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
+                        for u, v in d["edges"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(line_no, f"malformed record: {exc}") from exc
@@ -202,8 +219,9 @@ def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
     if "targets" in d:
         try:
             t = d["targets"]
-            targets = PerformanceRecord(**{name: float(t[name]) for name in TARGET_NAMES})
-        except (KeyError, TypeError, ValueError) as exc:
+            targets = PerformanceRecord(**{name: _json_number(t[name], name)
+                                           for name in TARGET_NAMES})
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(line_no, f"malformed targets: {exc}") from exc
         if not np.all(np.isfinite(targets.as_array())):
             raise ValidationError(rec_id, InvalidSpec("non-finite target value"))
@@ -219,14 +237,15 @@ def write_dataset(records: Sequence[LabeledGraph], path) -> None:
 def read_dataset(path) -> list:
     records = []
     ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 d = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # json.loads raises RecursionError on too deeply nested arrays or objects
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
             rec = _record_from_dict(d, line_no)
             if rec.id in ids:

@@ -9,7 +9,7 @@ import numpy as np
 from .graphs import TARGET_NAMES, DatasetSplit
 from .model import (EncoderConfig, PredictorModel, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
-from .tokens import pad_batch, tokenize_many
+from .tokens import pad_batch, token_rows, tokenize_many
 
 # Published reference results on DeepNets-1M (30-epoch rows); printed for
 # context only, never asserted: this artifact does not reproduce them.
@@ -19,6 +19,9 @@ REFERENCE_TAU_30_EPOCHS = {
     "tart": {"clean_acc": 0.266, "noisy_acc": 0.307,
              "inference_speed": 0.885, "convergence_speed": 0.266},
 }
+
+
+PREDICT_BATCH_SIZE = 64
 
 
 class HarnessError(ValueError):
@@ -33,12 +36,49 @@ class DegenerateInput(HarnessError):
     pass
 
 
+def _tied_pairs(*columns) -> int:
+    """Pairs of items equal in every column; the columns are sorted together, so ties are runs."""
+    run_starts = np.zeros(columns[0].size, dtype=bool)
+    run_starts[0] = True
+    for column in columns:
+        run_starts[1:] |= column[1:] != column[:-1]
+    runs = np.diff(np.flatnonzero(np.append(run_starts, True)))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _inversions(ranks: np.ndarray, n_ranks: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j] (ranks in [0, n_ranks)), by a bottom-up merge sort.
+
+    At each width, every right block is merged into the left block before it:
+    an item of the right block inverts with every item of its left block that
+    is larger. Keys offset by the block pair's index keep all left blocks in one
+    sorted array, so each level is one vectorized search and one sort.
+    """
+    n = ranks.size
+    position = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        pair = position // (2 * width)
+        in_right = (position // width) % 2 == 1
+        keys = pair * n_ranks + ranks
+        left = keys[~in_right]
+        left_end = np.searchsorted(left, (pair[in_right] + 1) * n_ranks, "left")
+        first_larger = np.searchsorted(left, keys[in_right], "right")
+        inversions += int(np.sum(left_end - first_larger))
+        keys.sort()
+        ranks = keys - pair * n_ranks
+        width *= 2
+    return inversions
+
+
 def kendall_tau_b(x, y) -> float:
-    """Tie-corrected Kendall rank correlation.
+    """Tie-corrected Kendall rank correlation, in O(n log n) (Knight 1966).
 
     tau_b = (C - D) / sqrt((C + D + Tx) * (C + D + Ty)) over all pairs
     i < j, where Tx/Ty count pairs tied only in x/only in y; pairs tied
-    in both are dropped.
+    in both are dropped. Sorted by (x, y), the pairs tied in x, and in both,
+    are the pairs inside runs; D is the number of inversions left in y.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -47,20 +87,28 @@ def kendall_tau_b(x, y) -> float:
     n = x.size
     if n < 2:
         raise DegenerateInput("need at least 2 observations")
-    iu = np.triu_indices(n, k=1)
-    sx = np.sign(x[:, None] - x[None, :])[iu]
-    sy = np.sign(y[:, None] - y[None, :])[iu]
-    if np.all(sx == 0):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise HarnessError("tau needs finite values; got NaN or inf")
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    y_sorted = np.sort(y)
+    all_pairs = n * (n - 1) // 2
+    tied_x = _tied_pairs(xs)
+    tied_y = _tied_pairs(y_sorted)
+    if tied_x == all_pairs:
         raise DegenerateInput("all x values tied")
-    if np.all(sy == 0):
+    if tied_y == all_pairs:
         raise DegenerateInput("all y values tied")
-    prod = sx * sy
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
-    tied_x_only = int(np.sum((sx == 0) & (sy != 0)))
-    tied_y_only = int(np.sum((sy == 0) & (sx != 0)))
-    return (concordant - discordant) / np.sqrt(
-        (concordant + discordant + tied_x_only) * (concordant + discordant + tied_y_only))
+    tied_both = _tied_pairs(xs, ys)
+    # equal values share a rank, so only strictly larger earlier values count as inversions
+    discordant = _inversions(np.searchsorted(y_sorted, ys), n)
+    concordant = all_pairs - tied_x - tied_y + tied_both - discordant
+    tied_x_only = tied_x - tied_both
+    tied_y_only = tied_y - tied_both
+    # np.sqrt rejects a Python int past int64 (n near 1e5); float() rounds the exact
+    # product once, as numpy's int64 -> float64 conversion does for smaller ones
+    return (concordant - discordant) / np.sqrt(float(
+        (concordant + discordant + tied_x_only) * (concordant + discordant + tied_y_only)))
 
 
 @dataclass
@@ -94,20 +142,42 @@ def tau_table(predictions: np.ndarray, targets: np.ndarray) -> dict:
             for j, name in enumerate(TARGET_NAMES)}
 
 
-def predict(model: PredictorModel, graphs, mode: str, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode predictions in input order; mode must restate model.config.mode."""
+def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
+                       tokenize) -> np.ndarray:
+    """Eval-mode predictions for items, in input order.
+
+    Items are stable-sorted by token row count and cut into batches of
+    batch_size; tokenize turns one batch of items into token matrices just
+    before it runs, and the batch is padded to its own longest matrix. Memory
+    is bounded by the batch, not by the number of items.
+    """
+    order = np.argsort(rows, kind="stable")
+    out = np.empty((len(items), len(TARGET_NAMES)))
+    for start in range(0, len(order), batch_size):
+        idx = order[start:start + batch_size]
+        mats = tokenize([items[i] for i in idx])
+        batch = pad_batch(mats, max(tm.num_rows for tm in mats))
+        out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
+    return out
+
+
+def predict(model: PredictorModel, graphs, mode: str,
+            batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
+    """Eval-mode predictions in input order; mode must restate model.config.mode.
+
+    Graphs run in batches of similar size (see _forward_by_length), each
+    tokenized only when it is about to run.
+    """
     if mode != model.config.mode:
         raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
-    mats = tokenize_many(graphs, mode, d_p=model.config.d_p)
-    if not mats:
+    if batch_size < 1:
+        raise HarnessError(f"batch_size must be >= 1, got {batch_size}")
+    graphs = list(graphs)
+    if not graphs:
         raise HarnessError("no graphs to predict")
-    r_max = max(tm.num_rows for tm in mats)
-    rows = []
-    for start in range(0, len(mats), batch_size):
-        batch = pad_batch(mats[start:start + batch_size], r_max)
-        preds = encoder_forward(model, batch.tokens, batch.mask, train=False)
-        rows.append(preds.value)
-    return np.concatenate(rows, axis=0)
+    return _forward_by_length(
+        model, graphs, [token_rows(g, mode) for g in graphs], batch_size,
+        lambda batch: tokenize_many(batch, mode, d_p=model.config.d_p))
 
 
 def train_predictor(split: DatasetSplit, cfg: TrainConfig):
@@ -127,13 +197,15 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     train_targets = _targets_matrix(split.train)
     target_stats = compute_target_stats(train_targets)
 
-    r_max = max(tm.num_rows for tm in train_mats)
     model = init_model(cfg.model, seed=cfg.seed)
     state = adam_init(model)
     rng = np.random.default_rng(cfg.seed)
 
-    test_labeled = bool(split.test) and all(r.targets is not None for r in split.test)
-    test_targets = _targets_matrix(split.test) if test_labeled else None
+    eval_each_epoch = (cfg.eval_each_epoch and bool(split.test)
+                       and all(r.targets is not None for r in split.test))
+    if eval_each_epoch:
+        test_targets = _targets_matrix(split.test)
+        test_mats = tokenize_many([r.graph for r in split.test], cfg.mode, d_p=cfg.model.d_p)
 
     history = []
     step = 0
@@ -142,7 +214,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         losses = []
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            batch = pad_batch([train_mats[i] for i in idx], r_max)
+            mats = [train_mats[i] for i in idx]
+            batch = pad_batch(mats, max(tm.num_rows for tm in mats))
             loss, grads = backward_pass(
                 model, batch.tokens, batch.mask, train_targets[idx], target_stats,
                 train=True, dropout_seed=cfg.seed * 1_000_003 + step)
@@ -150,8 +223,10 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             losses.append(loss)
             step += 1
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
-        if test_labeled and cfg.eval_each_epoch:
-            preds = predict(model, [r.graph for r in split.test], cfg.mode)
+        if eval_each_epoch:
+            # the batches predict() would run, from matrices tokenized once
+            preds = _forward_by_length(model, test_mats, [tm.num_rows for tm in test_mats],
+                                       PREDICT_BATCH_SIZE, list)
             entry["tau"] = tau_table(preds, test_targets)
         history.append(entry)
     return model, history

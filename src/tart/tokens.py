@@ -126,6 +126,11 @@ def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P)
     raise TokenizerError(f"unknown tokenization mode: {mode!r}")
 
 
+def token_rows(graph: ComputationalGraph, mode: str) -> int:
+    """Row count of tokenize_graph(graph, mode), read off the graph without tokenizing it."""
+    return graph.num_nodes + graph.num_edges if mode == "tart" else graph.num_nodes
+
+
 def tokenize_many(graphs, mode: str, d_p: int = DEFAULT_D_P) -> list:
     """Tokenize a sequence of graphs, in input order."""
     return [tokenize_graph(g, mode, d_p=d_p) for g in graphs]
@@ -178,29 +183,45 @@ def write_token_file(path, entries) -> None:
 
 
 def read_token_file(path) -> list:
-    """Read the binary token dump back as (id, data array, tag bytes) triples."""
+    """Read the binary token dump back as (id, data array, tag bytes) triples.
+
+    A dump that is cut short, carries bytes past its last record, or whose
+    row tags disagree with its identifier columns raises TokenizerError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != TOKEN_MAGIC:
         raise TokenizerError("bad magic in token file")
-    version, count = struct.unpack_from("<II", blob, 4)
+    offset = 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if size > len(blob) - offset:
+            raise TokenizerError(f"token file truncated: {what} needs {size} bytes at "
+                                 f"offset {offset}, {len(blob) - offset} left")
+        offset += size
+        return blob[offset - size:offset]
+
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != TOKEN_FORMAT_VERSION:
         raise TokenizerError(f"unsupported token file version {version}")
-    offset = 12
     out = []
-    for _ in range(count):
-        (id_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        rec_id = blob[offset:offset + id_len].decode("utf-8")
-        offset += id_len
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        data = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
+    for k in range(count):
+        (id_len,) = struct.unpack("<I", take(4, f"record {k} id length"))
+        try:
+            rec_id = take(id_len, f"record {k} id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TokenizerError(f"record {k}: id is not UTF-8: {exc}") from exc
+        rows, cols = struct.unpack("<II", take(8, f"record {k} shape"))
+        if cols < token_width(0) or (cols - token_width(0)) % 2:
+            raise TokenizerError(f"record {k}: {cols} columns is not a token width")
+        data = np.frombuffer(take(rows * cols * 8, f"record {k} tokens"), dtype="<f8")
         data = data.reshape(rows, cols).astype(np.float64)
-        offset += rows * cols * 8
-        tags = blob[offset:offset + rows]
-        offset += rows
+        tags = take(rows, f"record {k} row tags")
+        if tags != _row_tags(TokenMatrix(data=data)):
+            raise TokenizerError(f"record {k}: row tags disagree with the identifier columns")
         out.append((rec_id, data, tags))
     if offset != len(blob):
-        raise TokenizerError("trailing bytes in token file")
+        raise TokenizerError(f"{len(blob) - offset} trailing bytes after the {count} "
+                             "records in token file")
     return out

@@ -105,6 +105,18 @@ class TestTokenize:
         assert code == 2
         assert "bad1" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_nodes", 2.7), ("node_ops", [1, 4.9]), ("edges", [[0, 1.5]])])
+    def test_non_integer_graph_field_exit_2(self, tmp_path, capsys, field, value):
+        data = tmp_path / "d.jsonl"
+        g = {"id": "bad2", "num_nodes": 2, "node_ops": [1, 4], "edges": [[0, 1]]}
+        g[field] = value
+        data.write_text(json.dumps(g) + "\n")
+        code, _, err = run(capsys, "tokenize", "--in", str(data),
+                           "--out", str(tmp_path / "t.bin"))
+        assert code == 2
+        assert "line 1" in err and "must be an integer" in err
+
     def test_negative_d_p_exit_2(self, dataset, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["tokenize", "--in", str(dataset), "--out", str(tmp_path / "t.bin"),

@@ -1,7 +1,9 @@
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tart import graphs as gc
 
@@ -88,6 +90,17 @@ class TestDatasetIO:
             gc.read_dataset(path)
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("bad_line", [b'{"id": "\xff"}', b"[" * 100_000],
+                             ids=["invalid-utf8", "deep-nesting"])
+    def test_undecodable_line_number(self, tmp_path, bad_line):
+        # invalid UTF-8, and nesting too deep for the json module's recursion
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"id": "a", "num_nodes": 1, "node_ops": [3], "edges": []}\n'
+                         + bad_line + b"\n")
+        with pytest.raises(gc.ParseError) as exc:
+            gc.read_dataset(path)
+        assert exc.value.line_no == 2
+
     def test_cyclic_record_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "c", "num_nodes": 2, "node_ops": [1, 1], '
@@ -102,6 +115,92 @@ class TestDatasetIO:
         path.write_text(line + line)
         with pytest.raises(gc.ValidationError):
             gc.read_dataset(path)
+
+
+GOOD_RECORD = {"id": "a", "num_nodes": 3, "node_ops": [3, 4, 1], "edges": [[0, 1], [1, 2]],
+               "targets": {"clean_acc": 0.5, "noisy_acc": 0.4, "inference_speed": 1,
+                           "convergence_speed": 0.5}}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def with_field(path, value):
+    """GOOD_RECORD with the field at path (a tuple of keys and indices) set to value."""
+    record = json.loads(json.dumps(GOOD_RECORD))
+    *parents, last = path
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return record
+
+
+def read_lines(tmp_path, lines):
+    """read_dataset over a file of the given lines (str, or bytes written as they are)."""
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"".join((line if isinstance(line, bytes) else line.encode("utf-8"))
+                              + b"\n" for line in lines))
+    return gc.read_dataset(path)
+
+
+# graph fields that must be JSON integers, and target fields that must be JSON numbers
+INTEGER_FIELDS = [("num_nodes",), ("node_ops", 1), ("edges", 0, 1)]
+NUMBER_FIELDS = [("targets", name) for name in gc.TARGET_NAMES]
+
+
+class TestRecordTypes:
+    def test_good_record_reads(self, tmp_path):
+        (rec,) = read_lines(tmp_path, [json.dumps(GOOD_RECORD)])
+        assert rec.graph.node_ops == (3, 4, 1) and rec.graph.edges == ((0, 1), (1, 2))
+        assert rec.targets.inference_speed == 1.0
+
+    @pytest.mark.parametrize("path,value", [
+        (("num_nodes",), 2.7), (("num_nodes",), 3.0), (("num_nodes",), True),
+        (("node_ops", 1), 4.9), (("node_ops", 0), "3"), (("edges", 1), [1, 2.5]),
+        (("edges", 0), [0, 1.5]), (("edges", 0), [False, True]),
+        (("targets", "clean_acc"), True), (("targets", "noisy_acc"), "0.4"),
+        (("targets", "clean_acc"), None), (("targets", "clean_acc"), 10 ** 400),
+        (("id",), 7), (("id",), ["a"]),
+    ], ids=["num_nodes=2.7", "num_nodes=3.0", "num_nodes=true", "op=4.9", "op='3'",
+            "edge=[1,2.5]", "edge=[0,1.5]", "edge=[false,true]", "clean_acc=true",
+            "noisy_acc='0.4'", "clean_acc=null", "clean_acc=10**400", "id=7", "id=['a']"])
+    def test_wrong_type_is_a_parse_error(self, tmp_path, path, value):
+        with pytest.raises(gc.ParseError) as exc:
+            read_lines(tmp_path, [json.dumps(with_field(path, value))])
+        assert exc.value.line_no == 1
+
+    @given(field=st.sampled_from(INTEGER_FIELDS),
+           value=JSON_VALUES.filter(lambda v: type(v) is not int))
+    @settings(max_examples=150, deadline=None)
+    def test_non_integer_graph_field_is_a_parse_error(self, tmp_path_factory, field, value):
+        with pytest.raises(gc.ParseError):
+            read_lines(tmp_path_factory.mktemp("d"), [json.dumps(with_field(field, value))])
+
+    @given(field=st.sampled_from(NUMBER_FIELDS),
+           value=JSON_VALUES.filter(lambda v: type(v) not in (int, float)))
+    @settings(max_examples=150, deadline=None)
+    def test_non_numeric_target_is_a_parse_error(self, tmp_path_factory, field, value):
+        with pytest.raises(gc.ParseError):
+            read_lines(tmp_path_factory.mktemp("d"), [json.dumps(with_field(field, value))])
+
+    @given(lines=st.lists(st.one_of(
+        st.text(max_size=20),
+        st.binary(max_size=20),
+        JSON_VALUES.map(json.dumps),
+        st.tuples(st.sampled_from(INTEGER_FIELDS + NUMBER_FIELDS + [("id",), ("edges",)]),
+                  JSON_VALUES).map(lambda fv: json.dumps(with_field(*fv)))),
+        min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_reads_or_fails_as_bad_input(self, tmp_path_factory, lines):
+        # ParseError and ValidationError are the reader's two documented failures (CLI exit 2)
+        try:
+            read_lines(tmp_path_factory.mktemp("d"), lines)
+        except (gc.ParseError, gc.ValidationError):
+            pass
 
 
 class TestSplit:

@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import tart
 from tart import harness as hn
+from tart import tokens as tk
 from tart.model import EncoderConfig
 
 
@@ -91,6 +95,31 @@ class TestKendallTau:
         with pytest.raises(hn.LengthMismatch):
             hn.kendall_tau_b([1, 2], [1, 2, 3])
 
+    @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_under_heavy_ties(self, pairs):
+        x = [float(a) for a, _ in pairs]
+        y = [float(b) for _, b in pairs]
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        assert hn.kendall_tau_b(x, y) == brute_force_tau_b(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(hn.HarnessError):
+            hn.kendall_tau_b([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(hn.HarnessError):
+            hn.kendall_tau_b([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+    def test_large_n_under_one_second(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=100_000)
+        y = np.round(x + rng.normal(size=x.size), 1)  # y has many ties
+        start = time.perf_counter()
+        tau = hn.kendall_tau_b(x, y)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < tau < 1.0
+
 
 class TestTauTable:
     def test_oracle_predictions(self):
@@ -110,6 +139,61 @@ class TestTauTable:
         targets = rng.normal(size=(20, 4))
         with pytest.raises(hn.DegenerateInput):
             hn.tau_table(np.zeros((20, 4)), targets)
+
+
+class TestPredictBatching:
+    @pytest.fixture(scope="class")
+    def scored(self):
+        model = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16,
+                                              dropout_p=0.0), seed=0)
+        graphs = [r.graph for r in tart.generate_synthetic(40, 12, 0.4, 0.0, seed=9)]
+        return model, graphs
+
+    def test_permuted_input_gives_permuted_output(self, scored):
+        model, graphs = scored
+        perm = np.random.default_rng(1).permutation(len(graphs))
+        base = hn.predict(model, graphs, "tart", batch_size=8)
+        permuted = hn.predict(model, [graphs[i] for i in perm], "tart", batch_size=8)
+        assert np.max(np.abs(permuted - base[perm])) <= 1e-12
+
+    def test_mixed_size_batch_matches_each_graph_alone(self, scored):
+        model, graphs = scored
+        together = hn.predict(model, graphs, "tart", batch_size=len(graphs))
+        alone = np.concatenate([hn.predict(model, [g], "tart") for g in graphs])
+        assert np.max(np.abs(together - alone)) <= 1e-10
+
+    def test_each_batch_padded_to_its_own_longest(self, scored, monkeypatch):
+        model, graphs = scored
+        padded = []  # (r_max asked for, longest matrix in the batch)
+
+        def recording_pad_batch(matrices, r_max):
+            padded.append((r_max, max(tm.num_rows for tm in matrices)))
+            return tk.pad_batch(matrices, r_max)
+
+        monkeypatch.setattr(hn, "pad_batch", recording_pad_batch)
+        hn.predict(model, graphs, "tart", batch_size=8)
+        assert len(padded) == 5
+        assert all(r_max == longest for r_max, longest in padded)
+        assert [r for r, _ in padded] == sorted(r for r, _ in padded)
+
+    def test_tokenizes_one_batch_at_a_time(self, scored, monkeypatch):
+        model, graphs = scored
+        sizes = []
+
+        def recording_tokenize_many(batch, mode, d_p):
+            sizes.append(len(batch))
+            return tk.tokenize_many(batch, mode, d_p=d_p)
+
+        monkeypatch.setattr(hn, "tokenize_many", recording_tokenize_many)
+        hn.predict(model, graphs, "tart", batch_size=16)
+        assert sizes == [16, 16, 8]
+
+    def test_history_tau_matches_predict(self):
+        split = small_split()
+        model, history = tart.train_predictor(split, tiny_train_config(epochs=2))
+        preds = hn.predict(model, [r.graph for r in split.test], "tart")
+        truth = np.stack([r.targets.as_array() for r in split.test])
+        assert hn.tau_table(preds, truth) == history[-1]["tau"]
 
 
 class TestTrainPredictor:
@@ -183,6 +267,13 @@ class TestTokenizerMode:
         model = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16), seed=0)
         with pytest.raises(hn.HarnessError):
             hn.predict(model, [], "tart")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_rejects_batch_size_below_one(self, batch_size):
+        model = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16), seed=0)
+        graphs = [r.graph for r in small_split().test]
+        with pytest.raises(hn.HarnessError):
+            hn.predict(model, graphs, "tart", batch_size=batch_size)
 
 
 class TestRunExperiment:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tart import graphs as gc
 from tart import spectral as sp
@@ -104,6 +105,14 @@ class TestNodeOnly:
         assert np.allclose(tm.data[:, 0], [1 / 15, 2 / 15, 3 / 15])
 
 
+@pytest.mark.parametrize("mode", tk.MODES)
+def test_token_rows_is_the_tokenized_row_count(mode):
+    rng = np.random.default_rng(21)
+    graphs = [random_valid_graph(rng) for _ in range(30)] + [gc.make_graph(3, [1, 2, 3], [])]
+    for g in graphs:
+        assert tk.token_rows(g, mode) == tk.tokenize_graph(g, mode, d_p=2).num_rows
+
+
 class TestIdentifierRoundTrip:
     def test_decode_matches_row_kinds(self):
         rng = np.random.default_rng(9)
@@ -167,6 +176,57 @@ class TestBinaryFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(tk.TokenizerError):
             tk.read_token_file(path)
+
+
+@pytest.fixture(scope="module")
+def small_dump(tmp_path_factory):
+    rng = np.random.default_rng(5)
+    graphs = [random_valid_graph(rng, max_nodes=5) for _ in range(3)]
+    path = tmp_path_factory.mktemp("dump") / "tokens.bin"
+    tk.write_token_file(path, [(f"g{i}", lap_tokens(g, d_p=1)) for i, g in enumerate(graphs)])
+    return path
+
+
+def read_bytes(path, blob):
+    path.write_bytes(blob)
+    return tk.read_token_file(path)
+
+
+class TestMalformedDump:
+    @pytest.mark.parametrize("cut", [14, 30])
+    def test_cut_short_says_truncated(self, small_dump, cut):
+        with pytest.raises(tk.TokenizerError, match="truncated"):
+            read_bytes(small_dump.with_name("cut.bin"), small_dump.read_bytes()[:cut])
+
+    def test_last_bytes_missing_says_truncated(self, small_dump):
+        with pytest.raises(tk.TokenizerError, match="truncated"):
+            read_bytes(small_dump.with_name("cut.bin"), small_dump.read_bytes()[:-3])
+
+    @given(cut=st.integers(min_value=0))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_dump(self, small_dump, cut):
+        blob = small_dump.read_bytes()
+        with pytest.raises(tk.TokenizerError):
+            read_bytes(small_dump.with_name("cut.bin"), blob[:cut % len(blob)])
+
+    @given(extra=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_appended_bytes(self, small_dump, extra):
+        with pytest.raises(tk.TokenizerError, match="trailing"):
+            read_bytes(small_dump.with_name("long.bin"), small_dump.read_bytes() + extra)
+
+    @given(position=st.integers(min_value=0), value=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=200, deadline=None)
+    def test_single_byte_corruption(self, small_dump, position, value):
+        blob = bytearray(small_dump.read_bytes())
+        blob[position % len(blob)] ^= value
+        try:
+            loaded = read_bytes(small_dump.with_name("flip.bin"), bytes(blob))
+        except tk.TokenizerError:
+            return
+        assert len(loaded) == 3
+        for _, data, tags in loaded:
+            assert data.shape[0] == len(tags)
 
 
 class TestSizeReduction:
