@@ -23,20 +23,23 @@ feats = tart.lap_features(lap, 3)
 print("\npositional features P (one row per node):\n", feats.P)
 print("their eigenvalues:", feats.eigenvalues.round(4))
 
-# Step 3: the token matrix. One row per node, then one per edge:
+# Step 3: the token matrix, a plain array. One row per node, then one per edge:
 #   [feature | P-block | P-block | is_edge, is_node, u, v]
 # Node rows carry op_code/15 and duplicate their P row; edge rows carry a
 # constant 1.0 feature and the two endpoint P rows.
 tm = tart.tokenize_graph(g, "tart")
-print(f"\ntoken matrix: {tm.num_rows} x {tm.width}  (rows = N+M, width = 1 + 2*3 + 4)")
-print(tm.data)
+rows, width = tm.shape
+print(f"\ntoken matrix: {rows} x {width}  (rows = N+M, width = 1 + 2*3 + 4)")
+print(tm)
 # The identifier columns alone say what each row is.
 print("row kinds:", tart.tokens.decode_row_kinds(tm))
 
-# The node-only baseline ("pure" mode) keeps just the node rows and zeroes the P blocks;
-# two graphs with the same ops but different edges tokenize identically.
+# The node-only baseline ("pure" mode) keeps just the node rows, without P blocks:
+#   [op_code/15 | 0, 1, -1, -1]
+# so two graphs with the same ops but different edges tokenize identically.
 nm = tart.tokenize_node_only(g)
-print(f"\nnode-only baseline: {nm.num_rows} x {nm.width}")
+print(f"\nnode-only baseline: {nm.shape[0]} x {nm.shape[1]}")
+print(nm)
 
 # Step 4: batching. Matrices of different sizes are zero-padded to a shared
 # row count with a mask marking real tokens; the encoder attends and pools

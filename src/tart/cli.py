@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input JSONL dataset")
     p.add_argument("--out", required=True, help="output binary token file")
     p.add_argument("--mode", choices=tk.MODES, default="tart", help="tokenization mode")
-    p.add_argument("--d-p", type=_non_negative_int, default=3, help="positional feature width")
+    p.add_argument("--d-p", type=_non_negative_int, default=tk.DEFAULT_D_P,
+                   help="tart positional feature width (no effect on pure)")
 
     p = sub.add_parser("train", help="train a predictor and write checkpoint + history CSV",
                        epilog=reference_doc(), **common)
@@ -137,12 +138,8 @@ def _history_csv(history) -> str:
 
 
 def cmd_gen(args) -> int:
-    try:
-        records = gc.generate_synthetic(args.count, args.max_nodes, args.density,
-                                        args.noise, _seed_of(args))
-    except gc.InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    records = gc.generate_synthetic(args.count, args.max_nodes, args.density,
+                                    args.noise, _seed_of(args))
     gc.write_dataset(records, args.out)
     node_hist = Counter(r.graph.num_nodes for r in records)
     edge_hist = Counter(r.graph.num_edges for r in records)
@@ -153,23 +150,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    try:
-        records = gc.read_dataset(args.input)
-    except gc.ValidationError as exc:
-        print(f"error: invalid graph {exc.record_id}: {exc.cause}", file=sys.stderr)
-        return EXIT_INVALID
-    except gc.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    records = gc.read_dataset(args.input)
     mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=args.d_p)
     token_elements = 0
     onehot_elements = 0
-    for rec, tm in zip(records, mats):
-        print(f"{rec.id}: {tm.num_rows} x {tm.width}")
-        token_elements += tm.data.size
+    for rec, m in zip(records, mats):
+        print(f"{rec.id}: {m.shape[0]} x {m.shape[1]}")
+        token_elements += m.size
         onehot_elements += tk.one_hot_element_count(rec.graph)
-    tk.write_token_file(args.out, [(r.id, tm) for r, tm in zip(records, mats)])
+    tk.write_token_file(args.out, [(r.id, m) for r, m in zip(records, mats)])
     ratio = token_elements / onehot_elements if onehot_elements else float("nan")
     print(f"corpus token elements: {token_elements}, one-hot elements: {onehot_elements}, "
           f"reduction ratio: {ratio:.4f}")

@@ -5,6 +5,7 @@ Unknown keys are rejected so typos fail loudly.
 """
 from __future__ import annotations
 
+from .harness import TrainConfig
 from .tokens import MODES
 
 
@@ -12,18 +13,21 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (default, parser, help)
+_TRAIN = TrainConfig()
+_MODEL = _TRAIN.model
+
+# key -> (default, parser, help); model and train defaults live on the dataclasses
 DEFAULTS = {
-    "model.n_layer": (2, int, "encoder layers"),
-    "model.d_model": (32, int, "embedding width"),
-    "model.n_heads": (4, int, "attention heads (must divide d_model)"),
-    "model.d_ff": (128, int, "feed-forward hidden width"),
-    "model.dropout": (0.1, float, "dropout probability in [0, 1)"),
-    "train.epochs": (30, int, "training epochs"),
-    "train.batch_size": (32, int, "minibatch size"),
-    "train.lr": (1e-3, float, "Adam learning rate"),
-    "train.mode": ("tart", str, "tokenization mode: tart (LAP) or pure (node-only)"),
-    "tokenizer.d_p": (3, int, "positional feature width"),
+    "model.n_layer": (_MODEL.n_layer, int, "encoder layers"),
+    "model.d_model": (_MODEL.d_model, int, "embedding width"),
+    "model.n_heads": (_MODEL.n_heads, int, "attention heads (must divide d_model)"),
+    "model.d_ff": (_MODEL.d_ff, int, "feed-forward hidden width"),
+    "model.dropout": (_MODEL.dropout_p, float, "dropout probability in [0, 1)"),
+    "train.epochs": (_TRAIN.epochs, int, "training epochs"),
+    "train.batch_size": (_TRAIN.batch_size, int, "minibatch size"),
+    "train.lr": (_TRAIN.lr, float, "Adam learning rate"),
+    "train.mode": (_TRAIN.mode, str, "tokenization mode: tart (LAP) or pure (node-only)"),
+    "tokenizer.d_p": (_MODEL.d_p, int, "tart positional feature width (no effect on pure)"),
     "harness.trials": (5, int, "trials per experiment (averaged)"),
 }
 

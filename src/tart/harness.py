@@ -1,8 +1,7 @@
 """Training loop, Kendall-Tau evaluation, and multi-seed experiment orchestration."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +117,7 @@ class TrainConfig:
     seed: int = 0
     model: EncoderConfig = field(default_factory=EncoderConfig)
     mode: str = "tart"  # must restate model.mode, the tokenizer the encoder is built for
-    lr: float = 1e-4
+    lr: float = 1e-3
     eval_each_epoch: bool = True
 
     def __post_init__(self):
@@ -156,7 +155,7 @@ def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
         mats = tokenize([items[i] for i in idx])
-        batch = pad_batch(mats, max(tm.num_rows for tm in mats))
+        batch = pad_batch(mats, max(len(m) for m in mats))
         out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
     return out
 
@@ -215,7 +214,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             mats = [train_mats[i] for i in idx]
-            batch = pad_batch(mats, max(tm.num_rows for tm in mats))
+            batch = pad_batch(mats, max(len(m) for m in mats))
             loss, grads = backward_pass(
                 model, batch.tokens, batch.mask, train_targets[idx], target_stats,
                 train=True, dropout_seed=cfg.seed * 1_000_003 + step)
@@ -225,7 +224,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
         if eval_each_epoch:
             # the batches predict() would run, from matrices tokenized once
-            preds = _forward_by_length(model, test_mats, [tm.num_rows for tm in test_mats],
+            preds = _forward_by_length(model, test_mats, [len(m) for m in test_mats],
                                        PREDICT_BATCH_SIZE, list)
             entry["tau"] = tau_table(preds, test_targets)
         history.append(entry)
@@ -244,13 +243,8 @@ def evaluate_predictor(model: PredictorModel, test) -> dict:
 
 @dataclass
 class EvalReport:
-    mode: str
     per_seed: list          # [{"seed": int, "tau": {target: value}}, ...]
     mean_tau: dict          # target -> mean over seeds
-    config_echo: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
@@ -267,10 +261,7 @@ def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
         per_seed.append({"seed": seed, "tau": tau})
     mean_tau = {name: float(np.mean([t["tau"][name] for t in per_seed]))
                 for name in TARGET_NAMES}
-    echo = asdict(cfg)
-    echo["n_trials"] = n_trials
-    echo["base_seed"] = base_seed
-    return EvalReport(mode=cfg.mode, per_seed=per_seed, mean_tau=mean_tau, config_echo=echo)
+    return EvalReport(per_seed=per_seed, mean_tau=mean_tau)
 
 
 @dataclass

@@ -16,12 +16,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graphs import TARGET_NAMES
-from .tokens import MODES, token_width
+from .tokens import DEFAULT_D_P, MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
 MODEL_FORMAT_VERSION = 4
 
 ATTENTION_MASK_BIAS = -1e30
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ModelError(ValueError):
@@ -58,17 +62,18 @@ class CorruptFile(ModelError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    n_layer: int = 6
-    d_model: int = 64
+    """Encoder shape and the tokenizer it reads; `config.DEFAULTS` reads these defaults."""
+    n_layer: int = 2
+    d_model: int = 32
     n_heads: int = 4
-    d_ff: int = 256
+    d_ff: int = 128
     dropout_p: float = 0.1
     mode: str = "tart"  # the tokenizer the encoder reads: one of tokens.MODES
-    d_p: int = 3
+    d_p: int = DEFAULT_D_P  # tart's positional width; pure rows carry no positional columns
 
     @property
     def input_width(self) -> int:
-        return token_width(self.d_p)
+        return token_width(self.d_p if self.mode == "tart" else 0)
 
     def __post_init__(self):
         for name in ("n_layer", "d_model", "n_heads", "d_ff", "d_p"):
@@ -255,9 +260,7 @@ def adam_init(model: PredictorModel) -> dict:
     }
 
 
-def adam_step(model: PredictorModel, grads: dict, state: dict,
-              lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float = 1e-4) -> None:
     """In-place Adam update with bias correction."""
     state["t"] += 1
     t = state["t"]
@@ -265,11 +268,11 @@ def adam_step(model: PredictorModel, grads: dict, state: dict,
         g = grads[name]
         if g.shape != param.value.shape:
             raise ShapeMismatch(f"gradient for {name}: {g.shape} vs {param.value.shape}")
-        m = state["m"][name] = beta1 * state["m"][name] + (1 - beta1) * g
-        v = state["v"][name] = beta2 * state["v"][name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        param.value = param.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = state["m"][name] = ADAM_BETA1 * state["m"][name] + (1 - ADAM_BETA1) * g
+        v = state["v"][name] = ADAM_BETA2 * state["v"][name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        param.value = param.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

@@ -33,7 +33,6 @@ class SpectralFeatures:
     P: np.ndarray
     eigenvalues: np.ndarray
     is_padded: np.ndarray
-    d_p: int
 
     @property
     def num_nodes(self) -> int:
@@ -110,5 +109,5 @@ def lap_features(lap: np.ndarray, d_p: int) -> SpectralFeatures:
         values[: chosen.size] = eigenvalues[chosen]
         padded[: chosen.size] = False
     p = _apply_sign_convention(p)
-    return SpectralFeatures(P=p, eigenvalues=values, is_padded=padded, d_p=d_p)
+    return SpectralFeatures(P=p, eigenvalues=values, is_padded=padded)
 

@@ -1,10 +1,11 @@
 """Token-matrix assembly, batching with padding masks, and the binary dump format.
 
-A tokenized graph is an (N+M) x (1 + 2*d_p + 4) matrix: node rows first
-(feature scalar, positional block duplicated, identifier [0,1,-1,-1]),
-then edge rows in lexicographic (u,v) order (constant feature 1.0, the two
-endpoint positional blocks, identifier [1,0,u,v]). The node-only "pure"
-variant keeps just the node rows with zeroed positional blocks.
+A tokenized graph is a plain (R, C) float64 array. In "tart" mode it is
+(N+M) x (1 + 2*d_p + 4): node rows first (feature scalar, positional block
+duplicated, identifier [0,1,-1,-1]), then edge rows in lexicographic (u,v)
+order (constant feature 1.0, the two endpoint positional blocks, identifier
+[1,0,u,v]). The node-only "pure" variant is N x 5: the node rows without
+positional blocks, so d_p has no effect on it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ IDENTIFIER_WIDTH = 4
 
 TOKEN_MAGIC = b"TART"
 TOKEN_FORMAT_VERSION = 1
-TAG_NODE, TAG_EDGE, TAG_PAD = 0, 1, 2
+TAG_NODE, TAG_EDGE = 0, 1
 
 
 class TokenizerError(ValueError):
@@ -48,20 +49,6 @@ def token_width(d_p: int) -> int:
 
 
 @dataclass(frozen=True)
-class TokenMatrix:
-    """One graph's token rows; the identifier columns say what each row is."""
-    data: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class PaddedBatch:
     tokens: np.ndarray  # B x R_max x C
     mask: np.ndarray    # B x R_max, True = real token
@@ -78,12 +65,12 @@ def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
     return rows
 
 
-def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) -> TokenMatrix:
+def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) -> np.ndarray:
     """Assemble the full node+edge token matrix from precomputed positional features."""
     if feats.num_nodes != graph.num_nodes:
         raise FeatureGraphMismatch(feats.num_nodes, graph.num_nodes)
 
-    d_p = feats.d_p
+    d_p = feats.P.shape[1]
     pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
     edges = np.zeros((len(pairs), token_width(d_p)), dtype=np.float64)
     edges[:, 0] = 1.0
@@ -91,19 +78,19 @@ def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) ->
     edges[:, 1 + d_p:1 + 2 * d_p] = feats.P[pairs[:, 1]]
     edges[:, -4] = 1.0
     edges[:, -2:] = pairs
-    return TokenMatrix(data=np.concatenate([_node_rows(graph, feats.P), edges]))
+    return np.concatenate([_node_rows(graph, feats.P), edges])
 
 
-def tokenize_node_only(graph: ComputationalGraph, d_p: int = DEFAULT_D_P) -> TokenMatrix:
-    """Node rows only, positional blocks zeroed: the adjacency-blind baseline encoding."""
-    return TokenMatrix(data=_node_rows(graph, np.zeros((graph.num_nodes, d_p))))
+def tokenize_node_only(graph: ComputationalGraph) -> np.ndarray:
+    """Node rows without positional blocks, token_width(0) wide: the edge-blind baseline."""
+    return _node_rows(graph, np.zeros((graph.num_nodes, 0)))
 
 
-def decode_row_kinds(matrix: TokenMatrix) -> tuple:
+def decode_row_kinds(matrix: np.ndarray) -> tuple:
     """Recover row kinds from the trailing identifier columns alone."""
     kinds = []
     node_index = 0
-    for row in matrix.data:
+    for row in matrix:
         is_edge, is_node, a, b = row[-4:]
         if is_node == 1.0 and is_edge == 0.0 and a == -1.0 and b == -1.0:
             kinds.append(("node", node_index))
@@ -115,10 +102,10 @@ def decode_row_kinds(matrix: TokenMatrix) -> tuple:
     return tuple(kinds)
 
 
-def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> TokenMatrix:
-    """One-stop tokenization: 'tart' (positional features included) or 'pure' (node rows only)."""
+def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> np.ndarray:
+    """One-stop tokenization: 'tart' (d_p positional features) or 'pure' (node rows only)."""
     if mode == "pure":
-        return tokenize_node_only(graph, d_p=d_p)
+        return tokenize_node_only(graph)
     if mode == "tart":
         # looked up on the module, so wrappers installed there (such as a tracer) see the calls
         feats = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p)
@@ -140,17 +127,17 @@ def pad_batch(matrices, r_max: int) -> PaddedBatch:
     """Zero-pad token matrices to a common row count with a validity mask."""
     if not matrices:
         raise TokenizerError("empty batch")
-    width = matrices[0].width
-    for i, tm in enumerate(matrices):
-        if tm.width != width:
-            raise WidthMismatch(f"matrix {i} has width {tm.width}, expected {width}")
-        if tm.num_rows > r_max:
-            raise RowOverflow(i, tm.num_rows, r_max)
+    width = matrices[0].shape[1]
+    for i, m in enumerate(matrices):
+        if m.shape[1] != width:
+            raise WidthMismatch(f"matrix {i} has width {m.shape[1]}, expected {width}")
+        if len(m) > r_max:
+            raise RowOverflow(i, len(m), r_max)
     batch = np.zeros((len(matrices), r_max, width), dtype=np.float64)
     mask = np.zeros((len(matrices), r_max), dtype=bool)
-    for i, tm in enumerate(matrices):
-        batch[i, : tm.num_rows] = tm.data
-        mask[i, : tm.num_rows] = True
+    for i, m in enumerate(matrices):
+        batch[i, : len(m)] = m
+        mask[i, : len(m)] = True
     return PaddedBatch(tokens=batch, mask=mask)
 
 
@@ -162,24 +149,24 @@ def one_hot_element_count(graph: ComputationalGraph) -> int:
 
 # -- Binary dump format -------------------------------------------------------
 
-def _row_tags(matrix: TokenMatrix) -> bytes:
-    is_edge = matrix.data[:, -IDENTIFIER_WIDTH] == 1.0
+def _row_tags(matrix: np.ndarray) -> bytes:
+    is_edge = matrix[:, -IDENTIFIER_WIDTH] == 1.0
     return np.where(is_edge, TAG_EDGE, TAG_NODE).astype(np.uint8).tobytes()
 
 
 def write_token_file(path, entries) -> None:
-    """Write (id, TokenMatrix) pairs as the little-endian binary token dump."""
+    """Write (id, token matrix) pairs as the little-endian binary token dump."""
     entries = list(entries)
     with open(path, "wb") as fh:
         fh.write(TOKEN_MAGIC)
         fh.write(struct.pack("<II", TOKEN_FORMAT_VERSION, len(entries)))
-        for rec_id, tm in entries:
+        for rec_id, matrix in entries:
             id_bytes = rec_id.encode("utf-8")
             fh.write(struct.pack("<I", len(id_bytes)))
             fh.write(id_bytes)
-            fh.write(struct.pack("<II", tm.num_rows, tm.width))
-            fh.write(np.ascontiguousarray(tm.data, dtype="<f8").tobytes())
-            fh.write(_row_tags(tm))
+            fh.write(struct.pack("<II", *matrix.shape))
+            fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+            fh.write(_row_tags(matrix))
 
 
 def read_token_file(path) -> list:
@@ -218,7 +205,7 @@ def read_token_file(path) -> list:
         data = np.frombuffer(take(rows * cols * 8, f"record {k} tokens"), dtype="<f8")
         data = data.reshape(rows, cols).astype(np.float64)
         tags = take(rows, f"record {k} row tags")
-        if tags != _row_tags(TokenMatrix(data=data)):
+        if tags != _row_tags(data):
             raise TokenizerError(f"record {k}: row tags disagree with the identifier columns")
         out.append((rec_id, data, tags))
     if offset != len(blob):

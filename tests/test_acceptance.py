@@ -40,8 +40,8 @@ def test_a1_token_layout_1000_graphs():
     for _ in range(1000):
         g = random_graph(rng, 64, density=0.1)
         tm = tk.tokenize_graph(g, "tart", d_p=3)
-        assert tm.num_rows == g.num_nodes + g.num_edges
-        assert tm.width == 1 + 2 * 3 + 4
+        assert tm.shape[0] == g.num_nodes + g.num_edges
+        assert tm.shape[1] == 1 + 2 * 3 + 4
         assert tk.decode_row_kinds(tm) == graph_row_kinds(g)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"A1 runtime {elapsed:.1f}s exceeds 10s"

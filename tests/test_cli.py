@@ -9,7 +9,7 @@ from tart import config
 from tart import graphs as gc
 from tart import model as md
 from tart import tokens as tk
-from tart.harness import evaluate_predictor
+from tart.harness import TrainConfig, evaluate_predictor
 from tart.model import load_model
 
 
@@ -93,7 +93,7 @@ class TestTokenize:
         code, stdout, _ = run(capsys, "tokenize", "--in", str(data),
                               "--out", str(tmp_path / "t.bin"), "--mode", "pure")
         assert code == 0
-        assert "g0: 5 x 11" in stdout
+        assert "g0: 5 x 5" in stdout
 
     def test_cyclic_graph_exit_2_names_id(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -251,6 +251,10 @@ def test_every_config_key_has_an_effect(key, dataset, tmp_path, capsys, monkeypa
     assert trial_counts == [config.DEFAULTS[key][0], cfg[key]]
 
 
+def test_default_config_builds_the_dataclass_defaults():
+    assert cli._train_config(config.default_config(), 0) == TrainConfig(seed=0)
+
+
 class TestEvalAndCompare:
     def test_eval_prints_tau_json(self, dataset, config_file, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -276,9 +280,11 @@ class TestEvalAndCompare:
         expected = evaluate_predictor(load_model(ckpt), gc.read_dataset(dataset))
         assert stdout == json.dumps(expected, indent=2) + "\n"
 
-    # a version-3 file, and a header whose n_layer is a float
+    # a version-3 file, a header whose n_layer is a float, and a pure header over the
+    # 11-wide input_proj that pure checkpoints had before their rows were 5 wide
     @pytest.mark.parametrize("version,header",
-                             [(3, {}), (md.MODEL_FORMAT_VERSION, {"n_layer": 1.0})])
+                             [(3, {}), (md.MODEL_FORMAT_VERSION, {"n_layer": 1.0}),
+                              (md.MODEL_FORMAT_VERSION, {"mode": "pure"})])
     def test_eval_bad_checkpoint_exit_1(self, version, header, dataset, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         md.save_model(md.init_model(md.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16),

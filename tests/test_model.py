@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ def finite_difference_check(model, tokens, mask, targets, stats,
 
 
 UNIT_STATS = (np.zeros(4), np.ones(4))
+TART_V4_CHECKPOINT = Path(__file__).resolve().parent / "data" / "tart_v4.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -354,8 +356,11 @@ class TestCheckpoint:
         assert {k: v.value.shape for k, v in loaded.params.items()} == \
             md.parameter_shapes(loaded.config)
 
-    # a wider encoder, a header too large to lay out, and a non-integer size
-    @pytest.mark.parametrize("header", [{"d_model": 8}, {"n_layer": 10**9}, {"n_layer": 1.0}])
+    # a wider encoder, a header too large to lay out, a non-integer size, and a pure
+    # header over an 11-wide input_proj (the layout pure checkpoints had before their
+    # rows lost the always-zero positional columns)
+    @pytest.mark.parametrize("header", [{"d_model": 8}, {"n_layer": 10**9}, {"n_layer": 1.0},
+                                        {"mode": "pure"}])
     def test_header_not_matching_payload(self, small_checkpoint, header):
         blob = rewrite_header(small_checkpoint.read_bytes(), header)
         with pytest.raises(md.CorruptFile):
@@ -374,6 +379,14 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(md.VersionMismatch):
             md.load_model(path)
+
+    def test_committed_tart_v4_file_loads(self):
+        # written before pure rows lost their positional columns; the tart layout is unchanged
+        loaded = md.load_model(TART_V4_CHECKPOINT)
+        fresh = md.init_model(tiny_config(n_layer=1, d_model=4, d_ff=4), seed=1)
+        assert loaded.config == fresh.config
+        for name, param in fresh.params.items():
+            assert np.array_equal(loaded.params[name].value, param.value)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -27,7 +27,7 @@ class TestLapLayout:
         g = gc.make_graph(5, [1, 4, 4, 7, 15],
                           [(0, 1), (1, 2), (1, 3), (2, 4)])
         tm = lap_tokens(g)
-        assert tm.data.shape == (9, 11)  # (N+M) x (1 + 2*d_p + 4)
+        assert tm.shape == (9, 11)  # (N+M) x (1 + 2*d_p + 4)
 
     def test_two_node_path_rows(self):
         g = gc.make_graph(2, [1, 2], [(0, 1)])
@@ -35,15 +35,15 @@ class TestLapLayout:
         s = 1.0 / np.sqrt(2.0)
         node0 = [1 / 15, s, 0, 0, s, 0, 0, 0, 1, -1, -1]
         edge = [1.0, s, 0, 0, -s, 0, 0, 1, 0, 0, 1]
-        assert np.allclose(tm.data[0], node0, atol=1e-8)
-        assert np.allclose(tm.data[2], edge, atol=1e-8)
+        assert np.allclose(tm[0], node0, atol=1e-8)
+        assert np.allclose(tm[2], edge, atol=1e-8)
 
     def test_single_node(self):
         g = gc.make_graph(1, [6], [])
         tm = lap_tokens(g)
         expected = [6 / 15, 0, 0, 0, 0, 0, 0, 0, 1, -1, -1]
-        assert tm.data.shape == (1, 11)
-        assert np.allclose(tm.data[0], expected)
+        assert tm.shape == (1, 11)
+        assert np.allclose(tm[0], expected)
 
     def test_node_rows_duplicate_positional_block(self):
         rng = np.random.default_rng(2)
@@ -51,7 +51,7 @@ class TestLapLayout:
             g = random_valid_graph(rng)
             tm = lap_tokens(g)
             n = g.num_nodes
-            assert np.array_equal(tm.data[:n, 1:4], tm.data[:n, 4:7])
+            assert np.array_equal(tm[:n, 1:4], tm[:n, 4:7])
 
     def test_edge_rows_copy_endpoint_features(self):
         rng = np.random.default_rng(3)
@@ -59,7 +59,7 @@ class TestLapLayout:
             g = random_valid_graph(rng)
             feats = lap_features(g)
             tm = tk.tokenize_lap(g, feats)
-            for row, (u, v) in zip(tm.data[g.num_nodes:], sorted(g.edges), strict=True):
+            for row, (u, v) in zip(tm[g.num_nodes:], sorted(g.edges), strict=True):
                 assert np.array_equal(row[1:4], feats.P[u])
                 assert np.array_equal(row[4:7], feats.P[v])
                 assert np.array_equal(row[-4:], [1, 0, u, v])
@@ -67,7 +67,7 @@ class TestLapLayout:
     def test_edge_rows_lexicographic(self):
         g = gc.make_graph(3, [1, 1, 1], [(1, 2), (0, 2), (0, 1)])
         tm = lap_tokens(g)
-        assert tm.data[3:, -2:].tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert tm[3:, -2:].tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_width_identity_random_d_p(self):
         rng = np.random.default_rng(5)
@@ -75,8 +75,8 @@ class TestLapLayout:
             d_p = int(rng.integers(0, 9))
             g = random_valid_graph(rng)
             tm = lap_tokens(g, d_p=d_p)
-            assert tm.width == 1 + 2 * d_p + 4
-            assert tm.num_rows == g.num_nodes + g.num_edges
+            assert tm.shape[1] == 1 + 2 * d_p + 4
+            assert len(tm) == g.num_nodes + g.num_edges
 
     def test_feature_graph_mismatch(self):
         g = gc.make_graph(3, [1, 1, 1], [(0, 1)])
@@ -91,18 +91,28 @@ class TestNodeOnly:
         for _ in range(20):
             g = random_valid_graph(rng)
             tm = tk.tokenize_node_only(g)
-            assert tm.num_rows == g.num_nodes
+            assert len(tm) == g.num_nodes
 
     def test_edge_blind(self):
         a = gc.make_graph(3, [1, 2, 3], [(0, 1), (1, 2)])
         b = gc.make_graph(3, [1, 2, 3], [(0, 2)])
-        assert np.array_equal(tk.tokenize_node_only(a).data,
-                              tk.tokenize_node_only(b).data)
+        assert np.array_equal(tk.tokenize_node_only(a),
+                              tk.tokenize_node_only(b))
 
     def test_feature_column(self):
         g = gc.make_graph(3, [1, 2, 3], [(0, 1), (1, 2)])
         tm = tk.tokenize_node_only(g)
-        assert np.allclose(tm.data[:, 0], [1 / 15, 2 / 15, 3 / 15])
+        assert np.allclose(tm[:, 0], [1 / 15, 2 / 15, 3 / 15])
+
+    @pytest.mark.parametrize("d_p", range(9))
+    def test_tart_node_rows_without_positional_columns(self, d_p):
+        rng = np.random.default_rng(40 + d_p)
+        for _ in range(10):
+            g = random_valid_graph(rng)
+            pure = tk.tokenize_graph(g, "pure", d_p=d_p)
+            tart_nodes = lap_tokens(g, d_p=d_p)[:g.num_nodes]
+            assert pure.shape == (g.num_nodes, tk.token_width(0))
+            assert np.array_equal(pure, tart_nodes[:, [0, -4, -3, -2, -1]])
 
 
 @pytest.mark.parametrize("mode", tk.MODES)
@@ -110,7 +120,7 @@ def test_token_rows_is_the_tokenized_row_count(mode):
     rng = np.random.default_rng(21)
     graphs = [random_valid_graph(rng) for _ in range(30)] + [gc.make_graph(3, [1, 2, 3], [])]
     for g in graphs:
-        assert tk.token_rows(g, mode) == tk.tokenize_graph(g, mode, d_p=2).num_rows
+        assert tk.token_rows(g, mode) == len(tk.tokenize_graph(g, mode, d_p=2))
 
 
 class TestIdentifierRoundTrip:
@@ -159,8 +169,21 @@ class TestBinaryFormat:
         assert len(loaded) == 6
         for g, (rec_id, tm), (lid, data, tags) in zip(graphs, entries, loaded):
             assert rec_id == lid
-            assert np.array_equal(tm.data, data)
+            assert np.array_equal(tm, data)
             assert tags == bytes([0] * g.num_nodes + [1] * g.num_edges)
+
+    @pytest.mark.parametrize("mode", tk.MODES)
+    def test_tokenize_many_round_trip(self, tmp_path, mode):
+        rng = np.random.default_rng(34)
+        graphs = [random_valid_graph(rng) for _ in range(8)]
+        mats = tk.tokenize_many(graphs, mode, d_p=2)
+        path = tmp_path / "tokens.bin"
+        tk.write_token_file(path, [(f"g{i}", m) for i, m in enumerate(mats)])
+        loaded = tk.read_token_file(path)
+        assert [rec_id for rec_id, _, _ in loaded] == [f"g{i}" for i in range(8)]
+        for m, (_, data, _) in zip(mats, loaded, strict=True):
+            assert data.dtype == m.dtype and data.shape == m.shape
+            assert data.tobytes() == m.tobytes()
 
     def test_header_layout(self, tmp_path):
         g = gc.make_graph(2, [1, 2], [(0, 1)])
@@ -237,12 +260,12 @@ class TestSizeReduction:
             tm = lap_tokens(rec.graph)
             n, m = rec.graph.num_nodes, rec.graph.num_edges
             if m < n * (15 + n) / 11 - n:
-                assert tm.data.size < tk.one_hot_element_count(rec.graph)
+                assert tm.size < tk.one_hot_element_count(rec.graph)
             else:
-                assert tm.data.size >= tk.one_hot_element_count(rec.graph)
+                assert tm.size >= tk.one_hot_element_count(rec.graph)
 
     def test_corpus_reduction_on_sparse_graphs(self):
         records = gc.generate_synthetic(100, 16, 0.1, 0.0, seed=4)
-        token_total = sum(lap_tokens(r.graph).data.size for r in records)
+        token_total = sum(lap_tokens(r.graph).size for r in records)
         onehot_total = sum(tk.one_hot_element_count(r.graph) for r in records)
         assert token_total < onehot_total
