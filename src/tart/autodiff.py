@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough ops for a transformer encoder: linear maps, batched matmul,
-layer norm, masked softmax, GELU, dropout, masked mean pooling, and the
+layer norm, masked softmax, GELU, dropout, row gather and scatter between
+packed and padded layouts, mean pooling over packed rows, and the
 elementwise arithmetic needed for losses. Each op records vector-Jacobian
 closures; backward() walks the tape in reverse topological order.
 """
@@ -148,23 +149,48 @@ def softmax_masked(scores: Tensor, additive_bias: np.ndarray) -> Tensor:
     return Tensor(p, ((scores, vjp),))
 
 
-def dropout(x: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout with a caller-supplied generator (train mode only)."""
+def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
+    """Inverted dropout with a caller-supplied generator (train mode only).
+
+    Only the entries selected by `where` (broadcastable to x) draw from rng,
+    in row-major order; every other entry is zeroed.
+    """
     if p <= 0.0:
         return x
-    keep = (rng.random(x.value.shape) >= p) / (1.0 - p)
+    where = np.broadcast_to(where, x.value.shape)
+    keep = np.zeros(x.value.shape)
+    keep[where] = (rng.random(np.count_nonzero(where)) >= p) / (1.0 - p)
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
 
 
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over the row axis of x (B, R, D) restricted to mask (B, R) True rows."""
-    counts = mask.sum(axis=1)
-    assert np.all(counts > 0)
-    m = mask[:, :, None].astype(np.float64)
-    y = (x.value * m).sum(axis=1) / counts[:, None]
+def _scatter(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n,) + values.shape[1:])
+    out[index] = values
+    return out
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows x[index] of x (N, ...); index holds distinct row numbers. Each of
+    gather_rows and scatter_rows is the vjp of the other."""
+    n = x.value.shape[0]
+    return Tensor(x.value[index], ((x, lambda g: _scatter(g, index, n)),))
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, n: int) -> Tensor:
+    """An (n, ...) tensor, zero except row index[i] = x[i]; index holds distinct row numbers."""
+    return Tensor(_scatter(x.value, index, n), ((x, lambda g: g[index]),))
+
+
+def masked_mean(x: Tensor, counts: np.ndarray) -> Tensor:
+    """Mean of each sample's real rows: x (T, D) packs sample b's counts[b] rows
+    contiguously, samples in order; returns (B, D)."""
+    ends = np.cumsum(counts)
+    assert counts.min() > 0 and ends[-1] == x.value.shape[0]
+    starts = ends - counts
+    y = np.add.reduceat(x.value, starts, axis=0) / counts[:, None]
 
     def vjp(g):
-        return (g[:, None, :] / counts[:, None, None]) * m
+        return np.repeat(g / counts[:, None], counts, axis=0)
 
     return Tensor(y, ((x, vjp),))
 

@@ -1,8 +1,12 @@
 """Transformer-encoder regressor: config, forward pass, loss, Adam, checkpoints.
 
 Pre-layer-norm encoder blocks (masked multi-head self-attention + GELU
-feed-forward, both residual), masked mean pooling over real tokens, and
-a single linear head mapping to the four performance targets.
+feed-forward, both residual), mean pooling over real tokens, and a single
+linear head mapping to the four performance targets. The encoder runs on
+packed rows: a batch's real token rows are gathered into one (T, ·) array,
+so projections, layer norms, the feed-forward net, residual adds and
+pooling never touch padding. Only attention's score, softmax and context
+matmuls see a padded (B, R, ·) layout, with R the batch's longest sample.
 """
 from __future__ import annotations
 
@@ -69,11 +73,11 @@ class EncoderConfig:
     d_ff: int = 128
     dropout_p: float = 0.1
     mode: str = "tart"  # the tokenizer the encoder reads: one of tokens.MODES
-    d_p: int = DEFAULT_D_P  # tart's positional width; pure rows carry no positional columns
+    d_p: int = DEFAULT_D_P  # tart's positional width; 0 for pure, whose rows carry none
 
     @property
     def input_width(self) -> int:
-        return token_width(self.d_p if self.mode == "tart" else 0)
+        return token_width(self.d_p)
 
     def __post_init__(self):
         for name in ("n_layer", "d_model", "n_heads", "d_ff", "d_p"):
@@ -92,6 +96,9 @@ class EncoderConfig:
             raise ModelError(f"unknown tokenizer mode: {self.mode!r}")
         if self.d_p < 0:
             raise ModelError(f"d_p must be >= 0, got {self.d_p}")
+        if self.mode == "pure":
+            # d_p changes nothing a pure model computes, so equal models get equal headers
+            object.__setattr__(self, "d_p", 0)
 
 
 @dataclass
@@ -141,36 +148,48 @@ def init_model(config: EncoderConfig, seed: int) -> PredictorModel:
     return PredictorModel(config=config, params=params)
 
 
-def _attention(x: Tensor, mask: np.ndarray, p: dict, prefix: str,
+def _attention(x: Tensor, real: np.ndarray, slots: np.ndarray, p: dict, prefix: str,
                config: EncoderConfig, drop_rng) -> Tensor:
-    b, r, d = x.shape
+    """Self-attention over packed rows x (T, D); q, k and v are scattered to `slots`
+    of the padded (B, R) layout that `real` marks for the score, softmax and context
+    matmuls only."""
+    b, r = real.shape
+    d = x.shape[1]
     h = config.n_heads
     dh = d // h
 
     def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, r, h, dh)), (0, 2, 1, 3))
+        padded = ad.scatter_rows(t, slots, b * r)
+        return ad.transpose(ad.reshape(padded, (b, r, h, dh)), (0, 2, 1, 3))
 
     q = split_heads(ad.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
     k = split_heads(ad.linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
     v = split_heads(ad.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    bias = np.where(mask, 0.0, ATTENTION_MASK_BIAS)[:, None, None, :]
+    bias = np.where(real, 0.0, ATTENTION_MASK_BIAS)[:, None, None, :]
     probs = ad.softmax_masked(scores, bias)
     if drop_rng is not None:
-        probs = ad.dropout(probs, config.dropout_p, drop_rng)
+        # padding keys already have probability 0; draw only for (real query, real key)
+        pairs = real[:, None, :, None] & real[:, None, None, :]
+        probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
     ctx = ad.matmul(probs, v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, r, d))
-    return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * r, d))
+    return ad.linear(ad.gather_rows(ctx, slots), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
                     train: bool = False, dropout_seed: int = 0) -> Tensor:
     """Predict targets for a padded batch.
 
-    tokens: B x R x C float64, mask: B x R bool. Eval mode (train=False)
-    is a deterministic pure function of (model, batch); train mode draws
-    dropout masks from a generator seeded with dropout_seed.
+    tokens: B x R x C float64, mask: B x R bool. The real rows are packed
+    into one (T, C) array in sample order, so every row-wise op runs on
+    real rows only; attention alone re-pads them, to the batch's longest
+    sample. A sample's output depends on its real rows alone, not on where
+    the mask puts them or how far the batch is padded. Eval mode
+    (train=False) is a deterministic pure function of (model, batch);
+    train mode draws dropout masks, for real entries only, from a
+    generator seeded with dropout_seed.
     """
     cfg = model.config
     p = model.params
@@ -187,11 +206,14 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
-    x = ad.linear(Tensor(tokens), p["input_proj.w"], p["input_proj.b"])
+    # sample b's real rows fill the first counts[b] slots of its padded attention row
+    real = np.arange(counts.max()) < counts[:, None]
+    slots = np.flatnonzero(real.ravel())
+    x = ad.linear(Tensor(tokens[mask]), p["input_proj.w"], p["input_proj.b"])
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        attn = _attention(normed, mask, p, f"layer{i}.attn", cfg, drop_rng)
+        attn = _attention(normed, real, slots, p, f"layer{i}.attn", cfg, drop_rng)
         if drop_rng is not None:
             attn = ad.dropout(attn, cfg.dropout_p, drop_rng)
         x = ad.add(x, attn)
@@ -206,7 +228,7 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         if not np.all(np.isfinite(x.value)):
             raise NonFiniteActivation(f"layer{i}")
 
-    preds = ad.linear(ad.masked_mean(x, mask), p["head.w"], p["head.b"])
+    preds = ad.linear(ad.masked_mean(x, counts), p["head.w"], p["head.b"])
     if not np.all(np.isfinite(preds.value)):
         raise NonFiniteActivation("head")
     return preds
@@ -260,7 +282,7 @@ def adam_init(model: PredictorModel) -> dict:
     }
 
 
-def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float = 1e-4) -> None:
+def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> None:
     """In-place Adam update with bias correction."""
     state["t"] += 1
     t = state["t"]

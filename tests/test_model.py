@@ -115,8 +115,24 @@ class TestAutodiffOps:
         self.check_op(lambda s: ad.softmax_masked(s, bias), [(2, 2, 4, 4)])
 
     def test_masked_mean(self):
-        mask = np.array([[True, True, False], [True, True, True]])
-        self.check_op(lambda x: ad.masked_mean(x, mask), [(2, 3, 4)])
+        # two samples packed as rows 0-1 and 2-4
+        self.check_op(lambda x: ad.masked_mean(x, np.array([2, 3])), [(5, 4)])
+        x = np.random.default_rng(1).normal(size=(5, 4))
+        pooled = ad.masked_mean(ad.Tensor(x), np.array([2, 3])).value
+        assert np.allclose(pooled, [x[:2].mean(axis=0), x[2:].mean(axis=0)], atol=1e-15)
+
+    def test_gather_rows(self):
+        self.check_op(lambda x: ad.gather_rows(x, np.array([3, 0, 2])), [(5, 4)])
+
+    def test_scatter_rows(self):
+        self.check_op(lambda x: ad.scatter_rows(x, np.array([3, 0, 2]), 5), [(3, 4)])
+
+    def test_scatter_then_gather_is_identity(self):
+        x = np.random.default_rng(2).normal(size=(3, 2, 2))
+        index = np.array([4, 1, 2])
+        padded = ad.scatter_rows(ad.Tensor(x), index, 6)
+        assert np.array_equal(padded.value[[0, 3, 5]], np.zeros((3, 2, 2)))
+        assert np.array_equal(ad.gather_rows(padded, index).value, x)
 
     def test_shared_input_accumulates(self):
         x = ad.Tensor(np.array([1.5]))
@@ -177,6 +193,17 @@ class TestForward:
         preds = md.encoder_forward(model, tokens, mask)
         assert np.allclose(preds.value[0], preds.value[1], atol=1e-12)
 
+        # graphs of 6, 2, 4 and 1 real rows in one batch, one with its padding in the middle
+        tokens, mask = random_batch(rng, b=4, r=6, holes=False)
+        mask[1, 2:] = False
+        mask[2, [1, 4]] = False
+        mask[3, 1:] = False
+        tokens[~mask] = 0.0
+        preds = md.encoder_forward(model, tokens, mask).value
+        for i in range(4):
+            solo = md.encoder_forward(model, tokens[i][mask[i]][None], mask[i][mask[i]][None])
+            assert np.max(np.abs(preds[i] - solo.value[0])) <= 1e-12
+
     def test_mask_invariance_under_extra_padding(self):
         rng = np.random.default_rng(10)
         model = md.init_model(tiny_config(), seed=4)
@@ -213,6 +240,18 @@ class TestForward:
         c = md.encoder_forward(model, tokens, mask, train=True, dropout_seed=4)
         assert np.array_equal(a.value, b.value)
         assert not np.array_equal(a.value, c.value)
+
+    def test_train_mode_dropout_ignores_padding(self):
+        # A8's bound in train mode: padding draws no dropout randomness
+        rng = np.random.default_rng(14)
+        model = md.init_model(tiny_config(dropout_p=0.5), seed=8)
+        tokens, mask = random_batch(rng, b=3, r=5)
+        preds = md.encoder_forward(model, tokens, mask, train=True, dropout_seed=3)
+        padded_tokens = np.concatenate([tokens, np.zeros((3, 4, 11))], axis=1)
+        padded_mask = np.concatenate([mask, np.zeros((3, 4), dtype=bool)], axis=1)
+        preds_padded = md.encoder_forward(model, padded_tokens, padded_mask,
+                                          train=True, dropout_seed=3)
+        assert np.max(np.abs(preds.value - preds_padded.value)) <= 1e-12
 
     def test_shape_mismatch(self):
         model = md.init_model(tiny_config(), seed=0)
@@ -252,7 +291,7 @@ class TestAdam:
         before = {k: v.value.copy() for k, v in model.params.items()}
         state = md.adam_init(model)
         grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
-        md.adam_step(model, grads, state)
+        md.adam_step(model, grads, state, lr=1e-3)
         assert state["t"] == 1
         for k, v in model.params.items():
             assert np.array_equal(v.value, before[k])
@@ -289,7 +328,7 @@ class TestAdam:
         grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
         grads["head.b"] = np.zeros(99)
         with pytest.raises(md.ShapeMismatch):
-            md.adam_step(model, grads, state)
+            md.adam_step(model, grads, state, lr=1e-3)
 
 
 class TestEncoderConfig:
@@ -300,6 +339,16 @@ class TestEncoderConfig:
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(md.ModelError):
             tiny_config(**overrides)
+
+    def test_pure_models_differing_only_in_d_p_are_equal(self, tmp_path):
+        blobs = []
+        for d_p in (3, 7):
+            cfg = tiny_config(mode="pure", d_p=d_p)
+            assert cfg.d_p == 0 and cfg == tiny_config(mode="pure", d_p=0)
+            path = tmp_path / f"pure{d_p}.ckpt"
+            md.save_model(md.init_model(cfg, seed=1), path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestParameterCount:
@@ -386,6 +435,16 @@ class TestCheckpoint:
         fresh = md.init_model(tiny_config(n_layer=1, d_model=4, d_ff=4), seed=1)
         assert loaded.config == fresh.config
         for name, param in fresh.params.items():
+            assert np.array_equal(loaded.params[name].value, param.value)
+
+    def test_pure_checkpoint_with_nonzero_d_p_header_loads(self, tmp_path):
+        # a pure checkpoint written before pure configs set d_p to 0 names the d_p it was given
+        model = md.init_model(tiny_config(mode="pure"), seed=1)
+        path = tmp_path / "pure.ckpt"
+        md.save_model(model, path)
+        loaded = load_bytes(tmp_path / "old.ckpt", rewrite_header(path.read_bytes(), {"d_p": 3}))
+        assert loaded.config == model.config and loaded.config.d_p == 0
+        for name, param in model.params.items():
             assert np.array_equal(loaded.params[name].value, param.value)
 
     def test_bad_magic(self, tmp_path):

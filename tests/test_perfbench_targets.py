@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tart import graphs, harness, model
+from tart import autodiff, graphs, harness, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,11 +21,13 @@ def test_tracer_patch_targets_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    originals = [getattr(mod, attr) for mod, attr, _ in tracing.PLAIN_SPANS]
+    targets = [(mod, attr) for mod, attr, _ in tracing.PLAIN_SPANS]
+    targets += [(autodiff, op) for op in tracing.AUTODIFF_OPS] + [(harness, "pad_batch")]
+    originals = [getattr(mod, attr) for mod, attr in targets]
     with tracing.Tracer().installed():
-        for (mod, attr, _), original in zip(tracing.PLAIN_SPANS, originals):
+        for (mod, attr), original in zip(targets, originals):
             assert getattr(mod, attr) is not original
-    assert [getattr(mod, attr) for mod, attr, _ in tracing.PLAIN_SPANS] == originals
+    assert [getattr(mod, attr) for mod, attr in targets] == originals
 
 
 @pytest.mark.parametrize("name", ["train", "score_batch", "score_online"])
