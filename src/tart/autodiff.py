@@ -13,6 +13,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -31,10 +32,6 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
-def constant(value) -> Tensor:
-    return Tensor(value)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     assert a.value.shape == b.value.shape
     return Tensor(a.value + b.value, ((a, lambda g: g), (b, lambda g: g)))
@@ -43,12 +40,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     assert a.value.shape == b.value.shape
     return Tensor(a.value - b.value, ((a, lambda g: g), (b, lambda g: -g)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    assert a.value.shape == b.value.shape
-    return Tensor(a.value * b.value,
-                  ((a, lambda g: g * b.value), (b, lambda g: g * a.value)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -114,11 +105,11 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(y, ((x, lambda g: g * local),))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
     mu = x.value.mean(axis=-1, keepdims=True)
     var = x.value.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.value - mu) * inv
     y = xhat * gain.value + bias.value
 

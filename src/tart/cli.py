@@ -17,7 +17,7 @@ from . import tokens as tk
 from .config import ConfigError, load_config, reference_doc
 from .harness import (DegenerateInput, HarnessError, TrainConfig, compare_modes,
                       evaluate_predictor, train_predictor)
-from .model import EncoderConfig, ModelError, load_model, save_model
+from .model import EncoderConfig, ModelError, StatsDegenerate, load_model, save_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -84,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        epilog=reference_doc(), **common)
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="override train.epochs for both modes")
     p.add_argument("--trials", type=int, default=None, help="override harness.trials")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (default: TART_SEED env or 0)")
@@ -107,7 +105,7 @@ def _load_split(path: str, train_frac: float, seed: int) -> gc.DatasetSplit:
     return gc.split_dataset(records, n_train, seed)
 
 
-def _train_config(cfg: dict, seed: int, mode=None, epochs=None) -> TrainConfig:
+def _train_config(cfg: dict, seed: int, mode=None) -> TrainConfig:
     try:
         model = EncoderConfig(
             n_layer=cfg["model.n_layer"], d_model=cfg["model.d_model"],
@@ -119,8 +117,7 @@ def _train_config(cfg: dict, seed: int, mode=None, epochs=None) -> TrainConfig:
     except ModelError as exc:
         raise ConfigError(f"invalid model settings: {exc}") from exc
     return TrainConfig(
-        epochs=epochs if epochs is not None else cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"], seed=seed, model=model,
+        epochs=cfg["train.epochs"], batch_size=cfg["train.batch_size"], seed=seed, model=model,
         mode=model.mode, lr=cfg["train.lr"],
     )
 
@@ -193,8 +190,8 @@ def cmd_compare(args) -> int:
     seed = _seed_of(args)
     trials = args.trials if args.trials is not None else cfg["harness.trials"]
     split = _load_split(args.data, args.train_frac, seed)
-    cfg_pure = _train_config(cfg, seed, mode="pure", epochs=args.epochs)
-    cfg_tart = _train_config(cfg, seed, mode="tart", epochs=args.epochs)
+    cfg_pure = _train_config(cfg, seed, mode="pure")
+    cfg_tart = _train_config(cfg, seed, mode="tart")
     comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=trials, base_seed=seed)
     print(comparison.to_text())
     csv_text = comparison.to_csv()
@@ -213,7 +210,7 @@ def main(argv=None) -> int:
                 "eval": cmd_eval, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except DegenerateInput as exc:
+    except (DegenerateInput, StatsDegenerate) as exc:
         print(f"error: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (gc.InvalidSpec, gc.ParseError, gc.ValidationError, ConfigError,

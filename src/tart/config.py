@@ -52,8 +52,8 @@ def parse_value(key: str, raw: str):
     return value
 
 
-def load_config(path=None, overrides=None) -> dict:
-    """Defaults, then file values, then explicit overrides."""
+def load_config(path=None) -> dict:
+    """Defaults, then file values."""
     cfg = default_config()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,10 +65,6 @@ def load_config(path=None, overrides=None) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
                 key, raw = (part.strip() for part in stripped.split("=", 1))
                 cfg[key] = parse_value(key, raw)
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        cfg[key] = value
     return cfg
 
 

@@ -7,6 +7,7 @@ Datasets are stored as JSONL, one labeled graph per line.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -147,12 +148,15 @@ def validate_graph(graph: ComputationalGraph) -> ComputationalGraph:
 
 
 def make_graph(num_nodes: int, node_ops, edges) -> ComputationalGraph:
-    """Build and validate a graph from plain sequences."""
-    g = ComputationalGraph(
-        num_nodes=int(num_nodes),
-        node_ops=tuple(int(c) for c in node_ops),
-        edges=tuple((int(u), int(v)) for u, v in edges),
-    )
+    """Build and validate a graph from plain sequences of integers (Python or numpy)."""
+    try:
+        g = ComputationalGraph(
+            num_nodes=operator.index(num_nodes),
+            node_ops=tuple(operator.index(c) for c in node_ops),
+            edges=tuple((operator.index(u), operator.index(v)) for u, v in edges),
+        )
+    except TypeError as exc:
+        raise InvalidSpec(f"graph fields must be integers: {exc}") from exc
     return validate_graph(g)
 
 

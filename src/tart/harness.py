@@ -269,19 +269,13 @@ class Comparison:
     pure: EvalReport
     tart: EvalReport
 
-    def long_rows(self) -> list:
-        """(target, mode, seed, tau) rows for CSV export."""
-        rows = []
-        for slot, report in (("pure", self.pure), ("tart", self.tart)):
+    def to_csv(self) -> str:
+        """Long format: one (target, mode, seed, tau) row per trial and target."""
+        lines = ["target,mode,seed,tau"]
+        for mode, report in (("pure", self.pure), ("tart", self.tart)):
             for trial in report.per_seed:
                 for name in TARGET_NAMES:
-                    rows.append((name, slot, trial["seed"], trial["tau"][name]))
-        return rows
-
-    def to_csv(self) -> str:
-        lines = ["target,mode,seed,tau"]
-        for target, mode, seed, tau in self.long_rows():
-            lines.append(f"{target},{mode},{seed},{tau:.10f}")
+                    lines.append(f"{name},{mode},{trial['seed']},{trial['tau'][name]:.10f}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

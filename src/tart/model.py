@@ -253,7 +253,7 @@ def loss_mse(preds: Tensor, targets: np.ndarray, target_stats) -> Tensor:
     z = (targets - mean) / std
     if preds.shape != z.shape:
         raise ShapeMismatch(f"predictions {preds.shape} vs targets {z.shape}")
-    return ad.mean_all(ad.square(ad.sub(preds, ad.constant(z))))
+    return ad.mean_all(ad.square(ad.sub(preds, ad.Tensor(z))))
 
 
 def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,

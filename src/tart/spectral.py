@@ -16,12 +16,6 @@ TRIVIAL_EIGENVALUE_TOL = 1e-9
 SIGN_PIVOT_TOL = 1e-9
 
 
-class EigensolverDidNotConverge(RuntimeError):
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"eigensolver did not converge after {iterations} iterations")
-
-
 @dataclass(frozen=True)
 class SpectralFeatures:
     """Per-node positional components.
@@ -90,13 +84,13 @@ def lap_features(lap: np.ndarray, d_p: int) -> SpectralFeatures:
     lap = np.asarray(lap, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {lap.shape}")
+    # NaN fails every comparison, so it would slip through the symmetry check
+    if not np.isfinite(lap).all():
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(lap - lap.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     n = lap.shape[0]
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverDidNotConverge(iterations=100 * n * n) from exc
+    eigenvalues, eigenvectors = np.linalg.eigh(lap)
 
     selectable = np.flatnonzero(np.abs(eigenvalues) >= TRIVIAL_EIGENVALUE_TOL)
     chosen = selectable[:d_p]

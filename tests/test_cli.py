@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -203,6 +204,19 @@ class TestTrain:
         assert code == 2
         assert named in err
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_constant_target_exit_3(self, command, config_file, tmp_path, capsys):
+        data = tmp_path / "flat.jsonl"
+        records = gc.generate_synthetic(12, 8, 0.4, 0.05, seed=3)
+        gc.write_dataset([replace(r, targets=replace(r.targets, inference_speed=0.5))
+                          for r in records], data)
+        outputs = (["--out-model", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]
+                   if command == "train" else ["--out-csv", str(tmp_path / "c.csv")])
+        code, _, err = run(capsys, command, "--config", str(config_file),
+                           "--data", str(data), *outputs)
+        assert code == 3
+        assert "target column 2 has zero standard deviation" in err
+
     def test_zero_epochs_exit_2(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(TINY_CONFIG.replace("train.epochs = 1", "train.epochs = 0"))
@@ -298,11 +312,13 @@ class TestEvalAndCompare:
         assert code == 1
         assert err.startswith("error: ")
 
-    def test_eval_removed_mode_flag_exit_2(self, dataset, tmp_path, capsys):
-        # without allow_abbrev=False, --mode would be read as a prefix of --model
+    # without allow_abbrev=False, eval's --mode would be read as a prefix of --model
+    @pytest.mark.parametrize("argv", [["eval", "--model", "m.ckpt", "--mode", "pure"],
+                                      ["compare", "--epochs", "3"]],
+                             ids=["eval-mode", "compare-epochs"])
+    def test_eval_removed_mode_flag_exit_2(self, argv, dataset, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["eval", "--model", str(tmp_path / "m.ckpt"), "--data", str(dataset),
-                      "--mode", "pure"])
+            cli.main(argv + ["--data", str(dataset)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

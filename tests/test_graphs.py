@@ -44,6 +44,15 @@ class TestValidateGraph:
         with pytest.raises(gc.DuplicateEdge):
             gc.make_graph(3, [1, 2, 3], [(0, 1), (0, 1)])
 
+    # int() would truncate each float, so 2.9 nodes would quietly become 2
+    @pytest.mark.parametrize("num_nodes,node_ops,edges",
+                             [(2.9, [1, 2], [(0, 1)]), (2, [1.9, 2], [(0, 1)]),
+                              (2, [1, 2], [(0, 1.7)])],
+                             ids=["num_nodes", "node_ops", "edges"])
+    def test_non_integer_field_rejected(self, num_nodes, node_ops, edges):
+        with pytest.raises(gc.InvalidSpec):
+            gc.make_graph(num_nodes, node_ops, edges)
+
     def test_topo_order_respects_edges(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

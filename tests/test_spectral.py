@@ -179,9 +179,12 @@ class TestLapFeatures:
                 if nonzero.size:
                     assert nonzero[0] > 0
 
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            sp.lap_features(np.array([[0.0, 1.0], [0.5, 0.0]]), 2)
+    @pytest.mark.parametrize("matrix", [np.array([[0.0, 1.0], [0.5, 0.0]]),
+                                        np.full((3, 3), np.nan), np.full((3, 3), np.inf)],
+                             ids=["asymmetric", "nan", "inf"])
+    def test_asymmetric_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="not symmetric|non-finite"):
+            sp.lap_features(matrix, 2)
 
 
 class TestJacobiOracle:
