@@ -7,7 +7,7 @@ regressor on them, and scores predictions by Kendall-Tau rank correlation.
 
 from .graphs import (ComputationalGraph, DatasetSplit, LabeledGraph,
                      PerformanceRecord, generate_synthetic, make_graph,
-                     read_dataset, split_dataset, validate_graph, write_dataset)
+                     read_dataset, split_dataset, write_dataset)
 from .spectral import SpectralFeatures, build_normalized_laplacian, lap_features
 from .tokens import (PaddedBatch, pad_batch, tokenize_graph, tokenize_lap,
                      tokenize_many, tokenize_node_only)

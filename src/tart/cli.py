@@ -27,10 +27,6 @@ EXIT_DEGENERATE = 3
 HISTORY_HEADER = "epoch,loss,tau_clean,tau_noisy,tau_inf,tau_conv"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TART_SEED", "0"))
-
-
 def _non_negative_int(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
@@ -40,6 +36,8 @@ def _non_negative_int(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a removed flag must fail, not be read as a prefix of another one
     common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
+    # a string default goes through the option's type, so TART_SEED gets --seed's check
+    seed_default = os.environ.get("TART_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="tart",
         description="Tokenize architecture graphs and train/evaluate performance predictors.",
@@ -53,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3,
                    help="edge inclusion probability in (0, 1]")
     p.add_argument("--noise", type=float, default=0.02, help="label noise sigma")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: TART_SEED env or 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=seed_default,
+                   help="RNG seed (TART_SEED env if set)")
     p.add_argument("--out", required=True, help="output JSONL path")
 
     p = sub.add_parser("tokenize", help="dump binary token matrices for a dataset", **common)
@@ -68,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        epilog=reference_doc(), **common)
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
-    p.add_argument("--seed", type=int, default=None,
-                   help="training seed (default: TART_SEED env or 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=seed_default,
+                   help="training seed (TART_SEED env if set)")
     p.add_argument("--train-frac", type=float, default=0.5,
                    help="fraction of records used for training, in (0, 1]; rest is held out")
     p.add_argument("--out-model", required=True, help="checkpoint output path")
@@ -85,16 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
     p.add_argument("--trials", type=int, default=None, help="override harness.trials")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed (default: TART_SEED env or 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=seed_default,
+                   help="base seed (TART_SEED env if set)")
     p.add_argument("--train-frac", type=float, default=0.5,
                    help="fraction of records used for training, in (0, 1]")
     p.add_argument("--out-csv", default=None, help="write long-format comparison CSV here")
     return parser
-
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _load_split(path: str, train_frac: float, seed: int) -> gc.DatasetSplit:
@@ -136,7 +130,7 @@ def _history_csv(history) -> str:
 
 def cmd_gen(args) -> int:
     records = gc.generate_synthetic(args.count, args.max_nodes, args.density,
-                                    args.noise, _seed_of(args))
+                                    args.noise, args.seed)
     gc.write_dataset(records, args.out)
     node_hist = Counter(r.graph.num_nodes for r in records)
     edge_hist = Counter(r.graph.num_edges for r in records)
@@ -164,9 +158,8 @@ def cmd_tokenize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed_of(args)
-    split = _load_split(args.data, args.train_frac, seed)
-    tcfg = _train_config(cfg, seed)
+    split = _load_split(args.data, args.train_frac, args.seed)
+    tcfg = _train_config(cfg, args.seed)
     model, history = train_predictor(split, tcfg)
     save_model(model, args.out_model)
     with open(args.history, "w", encoding="utf-8", newline="\n") as fh:
@@ -187,12 +180,11 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed_of(args)
     trials = args.trials if args.trials is not None else cfg["harness.trials"]
-    split = _load_split(args.data, args.train_frac, seed)
-    cfg_pure = _train_config(cfg, seed, mode="pure")
-    cfg_tart = _train_config(cfg, seed, mode="tart")
-    comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=trials, base_seed=seed)
+    split = _load_split(args.data, args.train_frac, args.seed)
+    cfg_pure = _train_config(cfg, args.seed, mode="pure")
+    cfg_tart = _train_config(cfg, args.seed, mode="tart")
+    comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=trials, base_seed=args.seed)
     print(comparison.to_text())
     csv_text = comparison.to_csv()
     if args.out_csv:

@@ -1,14 +1,15 @@
 """Computational-graph data model, JSONL serialization, splitting, and synthetic data.
 
 A computational graph is a DAG whose nodes carry one of 15 operator
-primitive codes and whose edges describe forward activation flow.
+primitive codes and whose edges describe forward activation flow. A graph
+is checked when it is built, `dataclasses.replace` copies included, so
+every instance is valid and carries its own topological order.
 Datasets are stored as JSONL, one labeled graph per line.
 """
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,12 +70,49 @@ class InvalidSpec(GraphError):
     pass
 
 
+def _as_int(value, what: str) -> int:
+    """A Python or numpy integer as an int; a bool, float or string is an error."""
+    if type(value) is int:  # fast path: the JSONL reader and most callers pass plain ints
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ComputationalGraph:
+    """A valid DAG: fields are converted to ints and checked on construction."""
     num_nodes: int
     node_ops: tuple
     edges: tuple
-    topo_order: Optional[tuple] = None
+    topo_order: tuple = field(init=False)
+
+    def __post_init__(self):
+        try:
+            n = _as_int(self.num_nodes, "num_nodes")
+            ops = tuple(_as_int(c, "op code") for c in self.node_ops)
+            edges = tuple((_as_int(u, "edge endpoint"), _as_int(v, "edge endpoint"))
+                          for u, v in self.edges)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"graph fields must be integers and edges pairs: {exc}") from exc
+        if n < 1:
+            raise InvalidSpec(f"num_nodes must be >= 1, got {n}")
+        if len(ops) != n:
+            raise InvalidSpec(f"node_ops has length {len(ops)}, expected {n}")
+        for i, code in enumerate(ops):
+            if not 1 <= code <= NUM_PRIMITIVES:
+                raise InvalidNodeCode(i, code)
+        seen = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise InvalidEdge(u, v)
+            if (u, v) in seen:
+                raise DuplicateEdge(u, v)
+            seen.add((u, v))
+        object.__setattr__(self, "num_nodes", n)
+        object.__setattr__(self, "node_ops", ops)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "topo_order", _topological_order(n, edges))
 
     @property
     def num_edges(self) -> int:
@@ -126,44 +164,13 @@ def _topological_order(num_nodes: int, edges) -> tuple:
     return tuple(order)
 
 
-def validate_graph(graph: ComputationalGraph) -> ComputationalGraph:
-    """Check all structural invariants and attach a cached topological order."""
-    n = graph.num_nodes
-    if n < 1:
-        raise InvalidSpec(f"num_nodes must be >= 1, got {n}")
-    if len(graph.node_ops) != n:
-        raise InvalidSpec(f"node_ops has length {len(graph.node_ops)}, expected {n}")
-    for i, code in enumerate(graph.node_ops):
-        if not isinstance(code, (int, np.integer)) or not (1 <= code <= NUM_PRIMITIVES):
-            raise InvalidNodeCode(i, code)
-    seen = set()
-    for u, v in graph.edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise InvalidEdge(u, v)
-        if (u, v) in seen:
-            raise DuplicateEdge(u, v)
-        seen.add((u, v))
-    order = _topological_order(n, graph.edges)
-    return replace(graph, topo_order=order)
-
-
 def make_graph(num_nodes: int, node_ops, edges) -> ComputationalGraph:
-    """Build and validate a graph from plain sequences of integers (Python or numpy)."""
-    try:
-        g = ComputationalGraph(
-            num_nodes=operator.index(num_nodes),
-            node_ops=tuple(operator.index(c) for c in node_ops),
-            edges=tuple((operator.index(u), operator.index(v)) for u, v in edges),
-        )
-    except TypeError as exc:
-        raise InvalidSpec(f"graph fields must be integers: {exc}") from exc
-    return validate_graph(g)
+    """A checked graph from plain sequences of integers (Python or numpy)."""
+    return ComputationalGraph(num_nodes, node_ops, edges)
 
 
 def longest_path_length(graph: ComputationalGraph) -> int:
     """Longest directed path, counted in edges (0 for an edgeless graph)."""
-    if graph.topo_order is None:
-        graph = validate_graph(graph)
     dist = [0] * graph.num_nodes
     preds = [[] for _ in range(graph.num_nodes)]
     for u, v in graph.edges:
@@ -188,13 +195,6 @@ def _record_to_dict(rec: LabeledGraph) -> dict:
     return d
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer, as is; a float, bool or string is an error, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_number(value, what: str) -> float:
     """A JSON number as a float; a bool or string is an error, never coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -207,16 +207,14 @@ def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
         rec_id = d["id"]
         if not isinstance(rec_id, str):
             raise TypeError(f"id must be a string, got {rec_id!r}")
-        graph = ComputationalGraph(
-            num_nodes=_json_int(d["num_nodes"], "num_nodes"),
-            node_ops=tuple(_json_int(c, "op code") for c in d["node_ops"]),
-            edges=tuple((_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
-                        for u, v in d["edges"]),
-        )
+        num_nodes = _as_int(d["num_nodes"], "num_nodes")
+        node_ops = tuple(_as_int(c, "op code") for c in d["node_ops"])
+        edges = tuple((_as_int(u, "edge endpoint"), _as_int(v, "edge endpoint"))
+                      for u, v in d["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(line_no, f"malformed record: {exc}") from exc
     try:
-        graph = validate_graph(graph)
+        graph = ComputationalGraph(num_nodes, node_ops, edges)
     except GraphError as exc:
         raise ValidationError(rec_id, exc) from exc
     targets = None
@@ -317,8 +315,8 @@ def generate_synthetic(count: int, max_nodes: int, edge_density: float,
         raise InvalidSpec(f"max_nodes must be >= 2, got {max_nodes}")
     if not (0.0 < edge_density <= 1.0):
         raise InvalidSpec(f"edge_density must be in (0, 1], got {edge_density}")
-    if noise_sigma < 0:
-        raise InvalidSpec(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)
     width = len(str(count))

@@ -110,7 +110,7 @@ def kendall_tau_b(x, y) -> float:
         (concordant + discordant + tied_x_only) * (concordant + discordant + tied_y_only)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
@@ -121,6 +121,10 @@ class TrainConfig:
     eval_each_epoch: bool = True
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise HarnessError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise HarnessError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ComputationalGraph, validate_graph
+from .graphs import ComputationalGraph
 
 TRIVIAL_EIGENVALUE_TOL = 1e-9
 SIGN_PIVOT_TOL = 1e-9
@@ -48,8 +48,6 @@ def build_normalized_laplacian(graph: ComputationalGraph) -> np.ndarray:
     Rows and columns of isolated nodes are entirely zero (including the
     diagonal), so isolated nodes contribute a zero eigenvalue each.
     """
-    if graph.topo_order is None:
-        graph = validate_graph(graph)
     a = symmetrized_adjacency(graph)
     degree = a.sum(axis=1)
     inv_sqrt = np.zeros_like(degree)

@@ -66,11 +66,25 @@ class TestGen:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_density_exit_2(self, tmp_path, capsys):
-        code, _, err = run(capsys, "gen", "--density", "0", "--out",
-                           str(tmp_path / "x.jsonl"))
+    @pytest.mark.parametrize("flags,named", [
+        (["--density", "0"], "edge_density"), (["--noise", "nan"], "noise_sigma"),
+        (["--noise", "inf"], "noise_sigma"), (["--seed", "-1"], "--seed"),
+    ], ids=["density-0", "noise-nan", "noise-inf", "seed-minus-1"])
+    def test_zero_density_exit_2(self, tmp_path, capsys, flags, named):
+        try:
+            code = cli.main(["gen", *flags, "--out", str(tmp_path / "x.jsonl")])
+        except SystemExit as exc:  # argparse rejects a bad --seed before gen runs
+            code = exc.code
         assert code == 2
-        assert "edge_density" in err
+        assert named in capsys.readouterr().err
+
+    def test_invalid_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        # TART_SEED is --seed's default, so it gets the same check
+        monkeypatch.setenv("TART_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestTokenize:

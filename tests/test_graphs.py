@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +60,89 @@ class TestValidateGraph:
             position = {node: i for i, node in enumerate(g.topo_order)}
             for u, v in g.edges:
                 assert position[u] < position[v]
+
+
+CHAIN = gc.make_graph(3, [3, 3, 3], [(0, 1), (1, 2)])
+
+# values no graph field may take: out of range, not an integer, or not a pair
+BAD_VALUES = st.sampled_from([-1, True, np.bool_(False), 0.5, 2.0, float("nan"), None, [],
+                              [0, 0.5], [0, 1, 2]])
+
+
+def mostly(strategy):
+    """strategy, but one draw in twenty a bad value instead."""
+    return st.integers(0, 19).flatmap(lambda k: BAD_VALUES if k == 10 else strategy)
+
+
+@st.composite
+def graph_fields(draw):
+    """make_graph arguments: small ints, with a bad value in any place now and then.
+
+    Edges repeat, form cycles and leave the node range often enough that every
+    GraphError subclass and many valid graphs show up in a few hundred examples.
+    """
+    n = draw(st.integers(2, 6))
+    edge = mostly(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    return (draw(mostly(st.just(n))),
+            draw(mostly(st.lists(mostly(st.integers(1, 15)), min_size=n, max_size=n))),
+            draw(mostly(st.lists(edge, min_size=n // 2, max_size=8))))
+
+
+class TestCheckedOnConstruction:
+    """Every graph is checked when built, `dataclasses.replace` copies included."""
+
+    def test_replace_making_a_cycle(self):
+        with pytest.raises(gc.CycleDetected):
+            replace(CHAIN, edges=((0, 1), (1, 2), (2, 0)))
+
+    @pytest.mark.parametrize("edge", [(0, -1), (1, 1)])
+    def test_replace_with_bad_edge(self, edge):
+        with pytest.raises(gc.InvalidEdge):
+            replace(CHAIN, edges=(edge,))
+
+    def test_replace_with_bad_op_code(self):
+        with pytest.raises(gc.InvalidNodeCode):
+            replace(CHAIN, node_ops=(3, 99, 3))
+
+    def test_topo_order_cannot_be_passed(self):
+        with pytest.raises(ValueError):
+            replace(CHAIN, topo_order=(2, 1, 0))
+        with pytest.raises(TypeError):
+            gc.ComputationalGraph(3, (3, 3, 3), (), topo_order=(2, 1, 0))
+
+    def test_renumbered_chain_gets_its_own_order(self):
+        # the chain 2 -> 1 -> 0: a topological order copied from 0 -> 1 -> 2 would give 1
+        renumbered = replace(CHAIN, edges=((2, 1), (1, 0)))
+        assert renumbered.topo_order == (2, 1, 0)
+        assert gc.longest_path_length(renumbered) == 2
+        targets = gc.synthetic_targets(renumbered, 0.0, np.random.default_rng(0))
+        assert targets.clean_acc == 1.0
+
+    @pytest.mark.parametrize("num_nodes,node_ops,edges", [
+        (True, (3,), ()), (1, (True,), ()), (2, (3, 3), ((False, True),)),
+        (np.bool_(True), (3,), ()), (1, (np.bool_(True),), ()),
+        (2, (3, 3), ((np.bool_(False), np.bool_(True)),)),
+        (2.0, (3, 3), ()), (2, (3, 3.0), ()), (2, (1, 2), ((0, 1.5),)),
+        (2, (3, 3), ((0, 1, 1),)), (2, (3, 3), ((0,),)), (2, (3, 3), (0,)),
+        (2, (3, 3), None), (2, None, ()),
+    ], ids=["num_nodes=True", "op=True", "edge=bools", "num_nodes=np.bool_", "op=np.bool_",
+            "edge=np.bool_", "num_nodes=2.0", "op=3.0", "edge=(0,1.5)", "edge=triple",
+            "edge=single", "edge=int", "edges=None", "node_ops=None"])
+    def test_wrong_field_type_is_invalid_spec(self, num_nodes, node_ops, edges):
+        with pytest.raises(gc.InvalidSpec):
+            gc.ComputationalGraph(num_nodes, node_ops, edges)
+
+    @given(fields=graph_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_any_fields_build_a_valid_graph_or_fail_as_graph_error(self, fields):
+        try:
+            g = gc.make_graph(*fields)
+        except gc.GraphError:
+            return
+        assert sorted(g.topo_order) == list(range(g.num_nodes))
+        position = {node: i for i, node in enumerate(g.topo_order)}
+        for u, v in g.edges:
+            assert position[u] < position[v]
 
 
 class TestDatasetIO:
@@ -264,7 +347,6 @@ class TestSynthetic:
 
     def test_all_generated_graphs_valid(self):
         for rec in gc.generate_synthetic(50, 12, 0.5, 0.0, seed=1):
-            gc.validate_graph(rec.graph)
             assert np.all(np.isfinite(rec.targets.as_array()))
 
     @pytest.mark.parametrize("kwargs", [
@@ -273,6 +355,8 @@ class TestSynthetic:
         dict(count=5, max_nodes=8, edge_density=0.0, noise_sigma=0.0),
         dict(count=5, max_nodes=8, edge_density=1.5, noise_sigma=0.0),
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=-1.0),
+        dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=float("nan")),
+        dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=float("inf")),
     ])
     def test_invalid_spec(self, kwargs):
         with pytest.raises(gc.InvalidSpec):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -248,6 +249,22 @@ class TestTrainPredictor:
             test=split.test)
         with pytest.raises(hn.HarnessError):
             tart.train_predictor(broken, tiny_train_config())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 2.5),
+                                            ("epochs", True), ("batch_size", True),
+                                            ("epochs", "2")])
+    def test_non_integer_size_rejected(self, name, value):
+        with pytest.raises(hn.HarnessError, match=name):
+            tiny_train_config(**{name: value})
+
+    def test_checks_cannot_be_bypassed_by_assignment(self):
+        cfg = tiny_train_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lr = -0.5
+        with pytest.raises(hn.HarnessError):
+            dataclasses.replace(cfg, lr=-0.5)
 
 
 class TestTokenizerMode:
