@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough ops for a transformer encoder: linear maps, batched matmul,
-layer norm, masked softmax, GELU, dropout, row gather and scatter between
-packed and padded layouts, mean pooling over packed rows, and the
-elementwise arithmetic needed for losses. Each op records vector-Jacobian
-closures; backward() walks the tape in reverse topological order.
+layer norm, masked softmax, GELU, dropout, concatenation and unstacking,
+row gather and scatter between packed and padded layouts, mean pooling over
+packed rows, and the elementwise arithmetic needed for losses. Each op
+records vector-Jacobian closures; backward() walks the tape in reverse
+topological order.
 """
 from __future__ import annotations
 
@@ -65,6 +66,28 @@ def transpose(a: Tensor, axes) -> Tensor:
     return Tensor(a.value.transpose(axes), ((a, lambda g: g.transpose(inverse)),))
 
 
+def concat(tensors) -> Tensor:
+    """The tensors joined along their last axis."""
+    parents, start = [], 0
+    for t in tensors:
+        end = start + t.value.shape[-1]
+        parents.append((t, lambda g, start=start, end=end: g[..., start:end]))
+        start = end
+    return Tensor(np.concatenate([t.value for t in tensors], axis=-1), tuple(parents))
+
+
+def unstack(x: Tensor) -> tuple:
+    """The tensors x[0], x[1], ... along the first axis."""
+    def piece(i):
+        def vjp(g):
+            out = np.zeros(x.value.shape)
+            out[i] = g
+            return out
+        return vjp
+
+    return tuple(Tensor(x.value[i], ((x, piece(i)),)) for i in range(x.value.shape[0]))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis; x may have any number of leading axes."""
     y = x.value @ w.value + b.value
@@ -99,10 +122,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
-    y = x.value * cdf
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x.value ** 2)
-    local = cdf + x.value * pdf
-    return Tensor(y, ((x, lambda g: g * local),))
+
+    def vjp(g):
+        # the derivative is built only when a backward sweep asks for it
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.value ** 2)
+        return g * (cdf + x.value * pdf)
+
+    return Tensor(x.value * cdf, ((x, vjp),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

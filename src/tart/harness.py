@@ -110,6 +110,14 @@ def kendall_tau_b(x, y) -> float:
         (concordant + discordant + tied_x_only) * (concordant + discordant + tied_y_only)))
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """A Python int (not a bool) of at least minimum, or HarnessError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise HarnessError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise HarnessError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -121,14 +129,9 @@ class TrainConfig:
     eval_each_epoch: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise HarnessError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 1:
-            raise HarnessError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise HarnessError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_int("epochs", self.epochs, 1)
+        _check_int("batch_size", self.batch_size, 1)
+        _check_int("seed", self.seed, 0)
         if not 0.0 < self.lr < np.inf:
             raise HarnessError(f"lr must be a positive finite number, got {self.lr}")
         if self.mode != self.model.mode:
@@ -173,8 +176,7 @@ def predict(model: PredictorModel, graphs, mode: str,
     """
     if mode != model.config.mode:
         raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
-    if batch_size < 1:
-        raise HarnessError(f"batch_size must be >= 1, got {batch_size}")
+    _check_int("batch_size", batch_size, 1)
     graphs = list(graphs)
     if not graphs:
         raise HarnessError("no graphs to predict")

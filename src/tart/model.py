@@ -5,8 +5,11 @@ feed-forward, both residual), mean pooling over real tokens, and a single
 linear head mapping to the four performance targets. The encoder runs on
 packed rows: a batch's real token rows are gathered into one (T, ·) array,
 so projections, layer norms, the feed-forward net, residual adds and
-pooling never touch padding. Only attention's score, softmax and context
-matmuls see a padded (B, R, ·) layout, with R the batch's longest sample.
+pooling never touch padding. Attention's score, softmax and context
+matmuls run on block-diagonal rows: the batch's samples are packed,
+first-fit decreasing, into as few rows of the longest sample's length as
+they fit, and a mask lets each query see only its own sample's keys
+(Krell et al., arXiv:2107.02027).
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, asdict
+from itertools import accumulate
 
 import numpy as np
 
@@ -148,34 +152,57 @@ def init_model(config: EncoderConfig, seed: int) -> PredictorModel:
     return PredictorModel(config=config, params=params)
 
 
-def _attention(x: Tensor, real: np.ndarray, slots: np.ndarray, p: dict, prefix: str,
-               config: EncoderConfig, drop_rng) -> Tensor:
-    """Self-attention over packed rows x (T, D); q, k and v are scattered to `slots`
-    of the padded (B, R) layout that `real` marks for the score, softmax and context
-    matmuls only."""
-    b, r = real.shape
+def pack_rows(counts: np.ndarray):
+    """Pack samples of counts[b] tokens into attention rows of capacity counts.max().
+
+    First-fit decreasing: longest sample first (ties in sample order), each into
+    the first row with room for all its tokens, so a sample's tokens stay
+    contiguous in one row. Returns (owner, slots): owner (rows, R) names each
+    slot's sample, -1 for padding, and slots holds the flat slot of every packed
+    (T, ·) row, samples in order.
+    """
+    sizes = counts.tolist()
+    capacity = max(sizes)
+    firsts = list(accumulate(sizes, initial=0))  # each sample's first packed row
+    shift = [0] * len(sizes)  # slot minus packed row, the same for all of a sample's rows
+    fill = []  # tokens placed so far in each open row
+    for b in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        row = next((i for i, used in enumerate(fill) if used + sizes[b] <= capacity), len(fill))
+        if row == len(fill):
+            fill.append(0)
+        shift[b] = row * capacity + fill[row] - firsts[b]
+        fill[row] += sizes[b]
+    slots = np.arange(firsts[-1]) + np.repeat(shift, counts)
+    owner = np.full(len(fill) * capacity, -1)
+    owner[slots] = np.repeat(np.arange(len(sizes)), counts)
+    return owner.reshape(len(fill), capacity), slots
+
+
+def _attention(x: Tensor, slots, bias: np.ndarray, pairs: np.ndarray, p: dict,
+               prefix: str, config: EncoderConfig, drop_rng) -> Tensor:
+    """Self-attention over packed rows x (T, D) in the attention rows that the
+    additive bias (rows, 1, R, R) lays out. q, k and v come from one fused
+    projection, scattered once to `slots` (None when x's rows fill the attention
+    rows in order); `pairs` marks the (query, key) pairs of one sample."""
+    rows, _, r, _ = bias.shape
     d = x.shape[1]
     h = config.n_heads
     dh = d // h
+    c = 1.0 / np.sqrt(dh)  # in q's weights, so the (rows, H, R, R) scores need no scale
+    w = ad.concat([ad.scale(p[f"{prefix}.wq"], c), p[f"{prefix}.wk"], p[f"{prefix}.wv"]])
+    b = ad.concat([ad.scale(p[f"{prefix}.bq"], c), p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
+    qkv = ad.linear(x, w, b)
+    if slots is not None:
+        qkv = ad.scatter_rows(qkv, slots, rows * r)
+    q, k, v = ad.unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, h, dh)), (2, 0, 3, 1, 4)))
 
-    def split_heads(t):
-        padded = ad.scatter_rows(t, slots, b * r)
-        return ad.transpose(ad.reshape(padded, (b, r, h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(ad.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-    k = split_heads(ad.linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-    v = split_heads(ad.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
-
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    bias = np.where(real, 0.0, ATTENTION_MASK_BIAS)[:, None, None, :]
-    probs = ad.softmax_masked(scores, bias)
+    probs = ad.softmax_masked(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), bias)
     if drop_rng is not None:
-        # padding keys already have probability 0; draw only for (real query, real key)
-        pairs = real[:, None, :, None] & real[:, None, None, :]
         probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
-    ctx = ad.matmul(probs, v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * r, d))
-    return ad.linear(ad.gather_rows(ctx, slots), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
+    if slots is not None:
+        ctx = ad.gather_rows(ctx, slots)
+    return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
@@ -184,12 +211,13 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 
     tokens: B x R x C float64, mask: B x R bool. The real rows are packed
     into one (T, C) array in sample order, so every row-wise op runs on
-    real rows only; attention alone re-pads them, to the batch's longest
-    sample. A sample's output depends on its real rows alone, not on where
-    the mask puts them or how far the batch is padded. Eval mode
-    (train=False) is a deterministic pure function of (model, batch);
-    train mode draws dropout masks, for real entries only, from a
-    generator seeded with dropout_seed.
+    real rows only. Attention packs the samples into as few rows as fit
+    (see pack_rows), and a block-diagonal mask keeps each sample to its own
+    tokens. A sample's output depends on its real rows alone, not on where
+    the mask puts them, how far the batch is padded or which samples share
+    its attention row. Eval mode (train=False) is a deterministic pure
+    function of (model, batch); train mode draws dropout masks, for real
+    entries only, from a generator seeded with dropout_seed.
     """
     cfg = model.config
     p = model.params
@@ -206,14 +234,17 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
-    # sample b's real rows fill the first counts[b] slots of its padded attention row
-    real = np.arange(counts.max()) < counts[:, None]
-    slots = np.flatnonzero(real.ravel())
+    owner, slots = pack_rows(counts)
+    # a real pair's query and key belong to one sample; dropout draws for real pairs only
+    pairs = ((owner[:, :, None] == owner[:, None, :]) & (owner >= 0)[:, :, None])[:, None]
+    bias = np.where(pairs, 0.0, ATTENTION_MASK_BIAS)
+    if np.array_equal(slots, np.arange(owner.size)):
+        slots = None  # scattering would copy the rows unchanged
     x = ad.linear(Tensor(tokens[mask]), p["input_proj.w"], p["input_proj.b"])
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        attn = _attention(normed, real, slots, p, f"layer{i}.attn", cfg, drop_rng)
+        attn = _attention(normed, slots, bias, pairs, p, f"layer{i}.attn", cfg, drop_rng)
         if drop_rng is not None:
             attn = ad.dropout(attn, cfg.dropout_p, drop_rng)
         x = ad.add(x, attn)

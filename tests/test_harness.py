@@ -259,6 +259,11 @@ class TestTrainConfig:
         with pytest.raises(hn.HarnessError, match=name):
             tiny_train_config(**{name: value})
 
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(hn.HarnessError, match="seed"):
+            tiny_train_config(seed=seed)
+
     def test_checks_cannot_be_bypassed_by_assignment(self):
         cfg = tiny_train_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -285,7 +290,7 @@ class TestTokenizerMode:
         with pytest.raises(hn.HarnessError):
             hn.predict(model, [], "tart")
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
     def test_predict_rejects_batch_size_below_one(self, batch_size):
         model = tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16), seed=0)
         graphs = [r.graph for r in small_split().test]

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tart
 from tart import autodiff as ad
 from tart import model as md
+from tart.tokens import token_rows
 
 
 def tiny_config(**overrides):
@@ -22,6 +24,15 @@ def random_batch(rng, b=3, r=6, c=11, holes=True):
     if holes:
         mask[0, r - 2:] = False
         tokens[0, r - 2:] = 0.0
+    return tokens, mask
+
+
+def shared_row_batch(rng):
+    """Graphs of 6, 2, 4 and 1 real rows, padded to 6. Packed first-fit decreasing
+    into rows of 6, the 2- and 4-row graphs share one attention row."""
+    tokens = rng.normal(size=(4, 6, 11))
+    mask = np.arange(6) < np.array([6, 2, 4, 1])[:, None]
+    tokens[~mask] = 0.0
     return tokens, mask
 
 
@@ -127,6 +138,14 @@ class TestAutodiffOps:
     def test_scatter_rows(self):
         self.check_op(lambda x: ad.scatter_rows(x, np.array([3, 0, 2]), 5), [(3, 4)])
 
+    def test_concat(self):
+        self.check_op(lambda a, b: ad.concat([a, ad.scale(b, 3.0), a]), [(2, 3), (2, 4)])
+
+    def test_unstack(self):
+        # the middle piece is unused, so its part of the gradient is zero
+        self.check_op(lambda x: ad.add(ad.unstack(x)[0], ad.scale(ad.unstack(x)[2], 2.0)),
+                      [(3, 2, 4)])
+
     def test_scatter_then_gather_is_identity(self):
         x = np.random.default_rng(2).normal(size=(3, 2, 2))
         index = np.array([4, 1, 2])
@@ -146,6 +165,15 @@ class TestGradientFidelity:
         rng = np.random.default_rng(42)
         model = md.init_model(tiny_config(), seed=7)
         tokens, mask = random_batch(rng, b=4, r=6)
+        targets = rng.normal(size=(4, 4))
+        worst = finite_difference_check(model, tokens, mask, targets, UNIT_STATS)
+        assert worst <= 1e-6
+
+    def test_packed_rows_finite_differences(self):
+        # counts 6, 2, 4, 1: the 2- and 4-row graphs share an attention row
+        rng = np.random.default_rng(43)
+        model = md.init_model(tiny_config(), seed=8)
+        tokens, mask = shared_row_batch(rng)
         targets = rng.normal(size=(4, 4))
         worst = finite_difference_check(model, tokens, mask, targets, UNIT_STATS)
         assert worst <= 1e-6
@@ -257,6 +285,90 @@ class TestForward:
         model = md.init_model(tiny_config(), seed=0)
         with pytest.raises(md.ShapeMismatch):
             md.encoder_forward(model, np.zeros((1, 3, 7)), np.ones((1, 3), dtype=bool))
+
+
+class TestPacking:
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_rows_keeps_samples_whole_and_apart(self, sizes):
+        counts = np.array(sizes)
+        owner, slots = md.pack_rows(counts)
+        rows, capacity = owner.shape
+        assert capacity == counts.max() and rows <= counts.size
+        assert np.unique(slots).size == slots.size == counts.sum()
+        samples = np.repeat(np.arange(counts.size), counts)
+        assert np.array_equal(owner.ravel()[slots], samples)
+        assert np.count_nonzero(owner >= 0) == slots.size
+        ends = np.cumsum(counts)
+        for start, end in zip(ends - counts, ends):
+            mine = slots[start:end]
+            assert np.array_equal(mine, np.arange(mine[0], mine[0] + mine.size))
+            assert mine[0] // capacity == mine[-1] // capacity
+        # first fit: a row was opened only when no earlier row had room
+        fill = np.count_nonzero(owner >= 0, axis=1)
+        first, second = np.triu_indices(rows, k=1)
+        assert np.all(fill[first] + fill[second] > capacity)
+
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_batch_matches_graphs_scored_alone(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        model = md.init_model(tiny_config(), seed=11)
+        r = max(sizes) + int(rng.integers(3))
+        tokens = rng.normal(size=(len(sizes), r, 11))
+        mask = np.zeros((len(sizes), r), dtype=bool)
+        for b, n in enumerate(sizes):
+            mask[b, rng.choice(r, n, replace=False)] = True
+        preds = md.encoder_forward(model, tokens, mask).value
+        for b in range(len(sizes)):
+            solo = md.encoder_forward(model, tokens[b][mask[b]][None], mask[b][mask[b]][None])
+            assert np.max(np.abs(preds[b] - solo.value[0])) <= 1e-12
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_graph_sharing_a_row_cannot_move_its_neighbour(self, train):
+        rng = np.random.default_rng(16)
+        model = md.init_model(tiny_config(dropout_p=0.5), seed=9)
+        tokens, mask = shared_row_batch(rng)
+        owner, _ = md.pack_rows(mask.sum(axis=1))
+        assert any({1, 2} <= set(row) for row in owner.tolist())
+        before = md.encoder_forward(model, tokens, mask, train=train, dropout_seed=5).value
+        tokens[2, :4] = 10.0 * rng.normal(size=(4, 11))
+        after = md.encoder_forward(model, tokens, mask, train=train, dropout_seed=5).value
+        assert np.max(np.abs(after[[0, 1, 3]] - before[[0, 1, 3]])) <= 1e-12
+        assert np.max(np.abs(after[2] - before[2])) > 1e-6
+
+    def test_packed_gradients_are_the_mean_of_single_graph_gradients(self):
+        rng = np.random.default_rng(17)
+        model = md.init_model(tiny_config(), seed=10)
+        tokens, mask = shared_row_batch(rng)
+        targets = rng.normal(size=(4, 4))
+        _, grads = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        singles = [md.backward_pass(model, tokens[b][mask[b]][None], mask[b][mask[b]][None],
+                                    targets[b][None], UNIT_STATS)[1] for b in range(4)]
+        # relative to the largest gradient entry: some entries (the key biases') are zero
+        # up to rounding in both
+        largest = max(np.max(np.abs(g)) for g in grads.values())
+        for name, g in grads.items():
+            mean = np.mean([single[name] for single in singles], axis=0)
+            assert np.max(np.abs(g - mean)) <= 1e-12 * largest, name
+
+    def test_packing_halves_attention_work_on_training_batches(self):
+        # the train benchmark's corpus and train_predictor's batches for seed 0, batch
+        # 16, 6 epochs: packed attention work sum(rows * R^2) against one row per graph
+        records = tart.generate_synthetic(400, 16, 0.3, 0.02, 0)
+        split = tart.split_dataset(records, 200, seed=0)
+        lengths = np.array([token_rows(r.graph, "tart") for r in split.train])
+        rng = np.random.default_rng(0)
+        packed = padded = 0
+        for _ in range(6):
+            perm = rng.permutation(lengths.size)
+            for start in range(0, perm.size, 16):
+                counts = lengths[perm[start:start + 16]]
+                owner, _ = md.pack_rows(counts)
+                packed += owner.size * owner.shape[1]
+                padded += counts.size * counts.max() ** 2
+        assert packed <= 0.55 * padded
 
 
 class TestLoss:
