@@ -9,8 +9,35 @@ topological order.
 """
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 from scipy.special import erf
+
+
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing large freed blocks back to the OS.
+
+    By default a large temporary (FFN hidden rows, attention scores: 1-3 MB)
+    is mmap'd and munmap'd, or trimmed off the top of the heap, when it is
+    freed, so the next batch page-faults the same memory back in and the
+    kernel zero-fills it: 0.3-0.4 s of a 1.5 s scoring pass of 2,500 graphs
+    went to system time. Serving blocks below 32 MiB from the heap, and
+    trimming it only past 256 MiB of free space at the top (64 MiB still left
+    36,000 faults per pass), keeps those pages in the process. A no-op where
+    the C library has no mallopt (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its 64-bit maximum
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -90,7 +117,8 @@ def unstack(x: Tensor) -> tuple:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis; x may have any number of leading axes."""
-    y = x.value @ w.value + b.value
+    y = x.value @ w.value
+    y += b.value
 
     def vjp_x(g):
         return g @ w.value.T
@@ -121,28 +149,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    cdf = 0.5 * (1.0 + erf(x.value * _INV_SQRT2))
+    cdf = x.value * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g):
-        # the derivative is built only when a backward sweep asks for it
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.value ** 2)
-        return g * (cdf + x.value * pdf)
+        # g * (cdf + x * pdf), the derivative built only when a backward sweep asks for it
+        out = np.square(x.value)
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= _INV_SQRT2PI
+        out *= x.value
+        out += cdf
+        out *= g
+        return out
 
     return Tensor(x.value * cdf, ((x, vjp),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = x.value.var(axis=-1, keepdims=True)
+    d = x.value.shape[-1]
+    xhat = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / d
+    y = np.square(xhat)
+    var = np.add.reduce(y, axis=-1, keepdims=True) / d  # the arithmetic of np.var
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.value - mu) * inv
-    y = xhat * gain.value + bias.value
+    xhat *= inv
+    np.multiply(xhat, gain.value, out=y)
+    y += bias.value
 
     def vjp_x(g):
+        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
         gh = g * gain.value
-        term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        return inv * term
+        t = gh * xhat
+        mean_t = np.add.reduce(t, axis=-1, keepdims=True) / d
+        np.multiply(xhat, mean_t, out=t)
+        gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+        gh -= t
+        gh *= inv
+        return gh
 
     def vjp_gain(g):
         return (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
@@ -153,15 +199,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(y, ((x, vjp_x), (gain, vjp_gain), (bias, vjp_bias)))
 
 
-def softmax_masked(scores: Tensor, additive_bias: np.ndarray) -> Tensor:
-    """Softmax over the last axis of scores + additive_bias (bias has no gradient)."""
-    z = scores.value + additive_bias
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+def softmax_masked(scores: Tensor, mask) -> Tensor:
+    """Softmax over the last axis of scores, over the entries where the boolean
+    mask (broadcastable to scores) is True; masked entries get probability 0.
+    Every row must keep an entry. mask None attends every entry.
+
+    Only attended entries reach exp, and masked ones keep a zeroed buffer's
+    zeros: exponentiating a masked entry would underflow, which takes numpy's
+    slow path.
+    """
+    if mask is None:
+        p = scores.value - np.max(scores.value, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+    else:
+        top = np.max(scores.value, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        p = np.zeros(scores.value.shape)
+        np.subtract(scores.value, top, out=p, where=mask)
+        np.exp(p, out=p, where=mask)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
 
     def vjp(g):
-        return p * (g - (g * p).sum(axis=-1, keepdims=True))
+        # p * (g - sum(g * p))
+        out = g * p
+        np.subtract(g, np.add.reduce(out, axis=-1, keepdims=True), out=out)
+        out *= p
+        return out
 
     return Tensor(p, ((scores, vjp),))
 

@@ -8,8 +8,9 @@ so projections, layer norms, the feed-forward net, residual adds and
 pooling never touch padding. Attention's score, softmax and context
 matmuls run on block-diagonal rows: the batch's samples are packed,
 first-fit decreasing, into as few rows of the longest sample's length as
-they fit, and a mask lets each query see only its own sample's keys
-(Krell et al., arXiv:2107.02027).
+they fit, and a boolean block-diagonal mask lets each query see only its own
+sample's keys (Krell et al., arXiv:2107.02027); the softmax exponentiates
+only the pairs it lets through.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ from .tokens import DEFAULT_D_P, MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
 MODEL_FORMAT_VERSION = 4
-
-ATTENTION_MASK_BIAS = -1e30
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -178,13 +177,16 @@ def pack_rows(counts: np.ndarray):
     return owner.reshape(len(fill), capacity), slots
 
 
-def _attention(x: Tensor, slots, bias: np.ndarray, pairs: np.ndarray, p: dict,
+def _attention(x: Tensor, slots, attend, pairs: np.ndarray, p: dict,
                prefix: str, config: EncoderConfig, drop_rng) -> Tensor:
-    """Self-attention over packed rows x (T, D) in the attention rows that the
-    additive bias (rows, 1, R, R) lays out. q, k and v come from one fused
-    projection, scattered once to `slots` (None when x's rows fill the attention
-    rows in order); `pairs` marks the (query, key) pairs of one sample."""
-    rows, _, r, _ = bias.shape
+    """Self-attention over packed rows x (T, D) in the attention rows that
+    `pairs` (rows, 1, R, R) lays out; `pairs` marks the (query, key) pairs of
+    one sample, and dropout draws for those alone. q, k and v come from one
+    fused projection, scattered once to `slots` (None when x's rows fill the
+    attention rows in order). The boolean mask `attend`, shaped like `pairs`,
+    lets a query see only its own sample's keys (a padding query sees its
+    row's padding); it is None when every pair is attended."""
+    rows, _, r, _ = pairs.shape
     d = x.shape[1]
     h = config.n_heads
     dh = d // h
@@ -196,7 +198,7 @@ def _attention(x: Tensor, slots, bias: np.ndarray, pairs: np.ndarray, p: dict,
         qkv = ad.scatter_rows(qkv, slots, rows * r)
     q, k, v = ad.unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, h, dh)), (2, 0, 3, 1, 4)))
 
-    probs = ad.softmax_masked(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), bias)
+    probs = ad.softmax_masked(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), attend)
     if drop_rng is not None:
         probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
@@ -212,10 +214,10 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     tokens: B x R x C float64, mask: B x R bool. The real rows are packed
     into one (T, C) array in sample order, so every row-wise op runs on
     real rows only. Attention packs the samples into as few rows as fit
-    (see pack_rows), and a block-diagonal mask keeps each sample to its own
-    tokens. A sample's output depends on its real rows alone, not on where
-    the mask puts them, how far the batch is padded or which samples share
-    its attention row. Eval mode (train=False) is a deterministic pure
+    (see pack_rows), and a boolean block-diagonal mask keeps each sample to
+    its own tokens. A sample's output depends on its real rows alone, not on
+    where the mask puts them, how far the batch is padded or which samples
+    share its attention row. Eval mode (train=False) is a deterministic pure
     function of (model, batch); train mode draws dropout masks, for real
     entries only, from a generator seeded with dropout_seed.
     """
@@ -235,16 +237,19 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
     owner, slots = pack_rows(counts)
+    # a query attends the keys of its own owner, so a padding query keeps its row's padding
+    attend = (owner[:, :, None] == owner[:, None, :])[:, None]
     # a real pair's query and key belong to one sample; dropout draws for real pairs only
-    pairs = ((owner[:, :, None] == owner[:, None, :]) & (owner >= 0)[:, :, None])[:, None]
-    bias = np.where(pairs, 0.0, ATTENTION_MASK_BIAS)
+    pairs = attend & (owner >= 0)[:, None, :, None]
+    if attend.all():
+        attend = None  # every graph fills its attention rows alone
     if np.array_equal(slots, np.arange(owner.size)):
         slots = None  # scattering would copy the rows unchanged
     x = ad.linear(Tensor(tokens[mask]), p["input_proj.w"], p["input_proj.b"])
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        attn = _attention(normed, slots, bias, pairs, p, f"layer{i}.attn", cfg, drop_rng)
+        attn = _attention(normed, slots, attend, pairs, p, f"layer{i}.attn", cfg, drop_rng)
         if drop_rng is not None:
             attn = ad.dropout(attn, cfg.dropout_p, drop_rng)
         x = ad.add(x, attn)
@@ -306,26 +311,31 @@ def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 # -- Adam ---------------------------------------------------------------------
 
 def adam_init(model: PredictorModel) -> dict:
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v.value) for k, v in model.params.items()},
-        "v": {k: np.zeros_like(v.value) for k, v in model.params.items()},
-    }
+    """Step count and the first and second moments of every parameter, held
+    flat in parameter order."""
+    size = sum(param.value.size for param in model.params.values())
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
 
 
 def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction, over all parameters at once."""
+    for name, param in model.params.items():
+        if grads[name].shape != param.value.shape:
+            raise ShapeMismatch(
+                f"gradient for {name}: {grads[name].shape} vs {param.value.shape}")
     state["t"] += 1
     t = state["t"]
-    for name, param in model.params.items():
-        g = grads[name]
-        if g.shape != param.value.shape:
-            raise ShapeMismatch(f"gradient for {name}: {g.shape} vs {param.value.shape}")
-        m = state["m"][name] = ADAM_BETA1 * state["m"][name] + (1 - ADAM_BETA1) * g
-        v = state["v"][name] = ADAM_BETA2 * state["v"][name] + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        param.value = param.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g = np.concatenate([grads[name].reshape(-1) for name in model.params])
+    m = state["m"] = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * g
+    v = state["v"] = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    start = 0
+    for param in model.params.values():
+        end = start + param.value.size
+        param.value = param.value - step[start:end].reshape(param.value.shape)
+        start = end
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

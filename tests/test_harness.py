@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import time
 
@@ -195,6 +196,26 @@ class TestPredictBatching:
         preds = hn.predict(model, [r.graph for r in split.test], "tart")
         truth = np.stack([r.targets.as_array() for r in split.test])
         assert hn.tau_table(preds, truth) == history[-1]["tau"]
+
+
+def has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the allocator policy needs glibc's mallopt")
+def test_repeated_predict_reuses_freed_memory():
+    """A second identical scoring pass finds its temporaries' pages still mapped."""
+    import resource
+    model = tart.init_model(EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=256), seed=0)
+    graphs = [r.graph for r in tart.generate_synthetic(256, 16, 0.3, 0.0, 0)]
+    hn.predict(model, graphs, "tart")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    hn.predict(model, graphs, "tart")
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestTrainPredictor:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 import tart
 from tart import autodiff as ad
@@ -121,9 +122,9 @@ class TestAutodiffOps:
         self.check_op(lambda x, g, b: ad.layer_norm(x, g, b), [(2, 3, 6), (6,), (6,)])
 
     def test_softmax_masked(self):
-        bias = np.zeros((2, 1, 1, 4))
-        bias[0, ..., -1] = -1e30
-        self.check_op(lambda s: ad.softmax_masked(s, bias), [(2, 2, 4, 4)])
+        mask = np.ones((2, 1, 1, 4), dtype=bool)
+        mask[0, ..., -1] = False
+        self.check_op(lambda s: ad.softmax_masked(s, mask), [(2, 2, 4, 4)])
 
     def test_masked_mean(self):
         # two samples packed as rows 0-1 and 2-4
@@ -158,6 +159,117 @@ class TestAutodiffOps:
         out = ad.mean_all(ad.add(x, x))
         ad.backward(out)
         assert x.grad[0] == pytest.approx(2.0)
+
+
+def vjps(out, g):
+    """The vjp of every parent of out, applied to g."""
+    return [vjp(g) for _, vjp in out.parents]
+
+
+class TestKernelsMatchReference:
+    """The in-place kernels give bit for bit what the plain numpy expressions give."""
+
+    @staticmethod
+    def gelu_reference(x, g):
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x ** 2)
+        return x * cdf, g * (cdf + x * pdf)
+
+    @staticmethod
+    def layer_norm_reference(x, gain, bias, g):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+        xhat = (x - mu) * inv
+        gh = g * gain
+        term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+        return xhat * gain + bias, inv * term
+
+    @staticmethod
+    def softmax_reference(scores, mask, g):
+        z = scores + np.where(mask, 0.0, -1e30)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        return p, p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def scores_with_underflow(rng, shape):
+        scores = rng.normal(scale=3.0, size=shape)
+        scores[0, 0, 1, 1:] = -1000.0  # real scores whose exp underflows to 0
+        return scores
+
+    def test_linear(self):
+        rng = np.random.default_rng(0)
+        x, w, b, g = (rng.normal(size=s) for s in [(5, 7, 6), (6, 9), (9,), (5, 7, 9)])
+        out = ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        assert np.array_equal(out.value, x @ w + b)
+        assert np.array_equal(vjps(out, g)[0], g @ w.T)
+
+    def test_gelu(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(scale=4.0, size=(40, 33))
+        g = rng.normal(size=x.shape)
+        out = ad.gelu(ad.Tensor(x))
+        y, dx = self.gelu_reference(x, g)
+        assert np.array_equal(out.value, y)
+        assert np.array_equal(vjps(out, g)[0], dx)
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(loc=3.0, scale=2.0, size=(37, 32))
+        gain, bias, g = rng.normal(size=32), rng.normal(size=32), rng.normal(size=x.shape)
+        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias))
+        y, dx = self.layer_norm_reference(x, gain, bias, g)
+        assert np.array_equal(out.value, y)
+        assert np.array_equal(vjps(out, g)[0], dx)
+
+    def test_softmax_unmasked(self):
+        rng = np.random.default_rng(3)
+        scores = self.scores_with_underflow(rng, (3, 4, 9, 9))
+        g = rng.normal(size=scores.shape)
+        out = ad.softmax_masked(ad.Tensor(scores), None)
+        p, dscores = self.softmax_reference(scores, np.ones(scores.shape, dtype=bool), g)
+        assert np.array_equal(out.value, p)
+        assert np.array_equal(vjps(out, g)[0], dscores)
+
+    def test_softmax_masked(self):
+        # two attention rows as encoder_forward lays them out: samples of 4 and 3
+        # tokens share the first, a sample of 5 and 2 padding slots fill the second
+        rng = np.random.default_rng(4)
+        owner = np.array([[0, 0, 0, 0, 1, 1, 1], [2, 2, 2, 2, 2, -1, -1]])
+        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
+        scores = self.scores_with_underflow(rng, (2, 4, 7, 7))
+        g = rng.normal(size=scores.shape)
+        out = ad.softmax_masked(ad.Tensor(scores), attend)
+        real_query = np.broadcast_to((owner >= 0)[:, None, :, None], scores.shape)
+        p, dscores = self.softmax_reference(scores, attend & real_query, g)
+        assert np.all(out.value[~np.broadcast_to(attend, scores.shape)] == 0.0)
+        assert np.array_equal(out.value[real_query], p[real_query])
+        assert np.array_equal(vjps(out, g)[0][real_query], dscores[real_query])
+
+    def test_adam_steps(self):
+        def reference_step(values, grads, m, v, t, lr):
+            for name in values:
+                g = grads[name]
+                m[name] = md.ADAM_BETA1 * m[name] + (1 - md.ADAM_BETA1) * g
+                v[name] = md.ADAM_BETA2 * v[name] + (1 - md.ADAM_BETA2) * g * g
+                m_hat = m[name] / (1 - md.ADAM_BETA1 ** t)
+                v_hat = v[name] / (1 - md.ADAM_BETA2 ** t)
+                values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + md.ADAM_EPS)
+
+        model = md.init_model(tiny_config(n_layer=1, d_model=8, n_heads=2, d_ff=8), seed=0)
+        values = {k: p.value.copy() for k, p in model.params.items()}
+        m = {k: np.zeros_like(x) for k, x in values.items()}
+        v = {k: np.zeros_like(x) for k, x in values.items()}
+        state = md.adam_init(model)
+        grng = np.random.default_rng(5)
+        for t in range(1, 6):
+            grads = {k: grng.normal(size=x.shape) for k, x in values.items()}
+            md.adam_step(model, grads, state, lr=1e-2)
+            reference_step(values, grads, m, v, t, lr=1e-2)
+        for name, param in model.params.items():
+            assert np.array_equal(param.value, values[name])
 
 
 class TestGradientFidelity:
