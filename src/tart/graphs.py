@@ -23,32 +23,6 @@ class GraphError(ValueError):
     """Base class for graph-core failures."""
 
 
-class CycleDetected(GraphError):
-    def __init__(self):
-        super().__init__("graph contains a cycle; no topological order exists")
-
-
-class InvalidNodeCode(GraphError):
-    def __init__(self, index: int, code):
-        self.index = index
-        self.code = code
-        super().__init__(f"node {index}: op code {code!r} outside [1, {NUM_PRIMITIVES}]")
-
-
-class InvalidEdge(GraphError):
-    def __init__(self, u, v, reason: str = "endpoint out of range or self-loop"):
-        self.u = u
-        self.v = v
-        super().__init__(f"edge ({u}, {v}): {reason}")
-
-
-class DuplicateEdge(GraphError):
-    def __init__(self, u: int, v: int):
-        self.u = u
-        self.v = v
-        super().__init__(f"edge ({u}, {v}) appears more than once")
-
-
 class ParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
@@ -62,10 +36,6 @@ class ValidationError(GraphError):
         super().__init__(f"record {record_id!r}: {cause}")
 
 
-class NotEnoughRecords(GraphError):
-    pass
-
-
 class InvalidSpec(GraphError):
     pass
 
@@ -77,6 +47,17 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_int(value, what: str, minimum: int, error=InvalidSpec) -> int:
+    """value as a Python int of at least minimum; anything else raises error."""
+    try:
+        value = _as_int(value, what)
+    except TypeError as exc:
+        raise error(str(exc)) from exc
+    if value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,13 +82,13 @@ class ComputationalGraph:
             raise InvalidSpec(f"node_ops has length {len(ops)}, expected {n}")
         for i, code in enumerate(ops):
             if not 1 <= code <= NUM_PRIMITIVES:
-                raise InvalidNodeCode(i, code)
+                raise InvalidSpec(f"node {i}: op code {code!r} outside [1, {NUM_PRIMITIVES}]")
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InvalidEdge(u, v)
+                raise InvalidSpec(f"edge ({u}, {v}): endpoint out of range or self-loop")
             if (u, v) in seen:
-                raise DuplicateEdge(u, v)
+                raise InvalidSpec(f"edge ({u}, {v}) appears more than once")
             seen.add((u, v))
         object.__setattr__(self, "num_nodes", n)
         object.__setattr__(self, "node_ops", ops)
@@ -144,7 +125,7 @@ class DatasetSplit:
 
 
 def _topological_order(num_nodes: int, edges) -> tuple:
-    """Kahn's algorithm; raises CycleDetected if no full order exists."""
+    """Kahn's algorithm; raises InvalidSpec if no full order exists."""
     indegree = [0] * num_nodes
     adjacency = [[] for _ in range(num_nodes)]
     for u, v in edges:
@@ -160,7 +141,7 @@ def _topological_order(num_nodes: int, edges) -> tuple:
             if indegree[succ] == 0:
                 frontier.append(succ)
     if len(order) != num_nodes:
-        raise CycleDetected()
+        raise InvalidSpec("graph contains a cycle; no topological order exists")
     return tuple(order)
 
 
@@ -259,10 +240,10 @@ def read_dataset(path) -> list:
 
 def split_dataset(records: Sequence[LabeledGraph], n_train: int, seed: int) -> DatasetSplit:
     """Deterministic shuffled split: first n_train shuffled records train, rest test."""
-    if n_train < 0:
-        raise InvalidSpec(f"n_train must be >= 0, got {n_train}")
+    n_train = check_int(n_train, "n_train", 0)
+    seed = check_int(seed, "seed", 0)
     if n_train > len(records):
-        raise NotEnoughRecords(f"requested {n_train} train records, only {len(records)} available")
+        raise InvalidSpec(f"requested {n_train} train records, only {len(records)} available")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(records))
     shuffled = [records[i] for i in perm]
@@ -309,14 +290,13 @@ def generate_synthetic(count: int, max_nodes: int, edge_density: float,
     (lower to higher position, each pair kept with probability
     edge_density), which guarantees acyclicity after relabeling.
     """
-    if count < 1:
-        raise InvalidSpec(f"count must be >= 1, got {count}")
-    if max_nodes < 2:
-        raise InvalidSpec(f"max_nodes must be >= 2, got {max_nodes}")
+    count = check_int(count, "count", 1)
+    max_nodes = check_int(max_nodes, "max_nodes", 2)
     if not (0.0 < edge_density <= 1.0):
         raise InvalidSpec(f"edge_density must be in (0, 1], got {edge_density}")
     if not 0.0 <= noise_sigma < np.inf:
         raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    seed = check_int(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     width = len(str(count))

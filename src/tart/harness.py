@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import TARGET_NAMES, DatasetSplit
+from .graphs import TARGET_NAMES, DatasetSplit, check_int
 from .model import (EncoderConfig, PredictorModel, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
 from .tokens import pad_batch, token_rows, tokenize_many
@@ -24,10 +24,6 @@ PREDICT_BATCH_SIZE = 64
 
 
 class HarnessError(ValueError):
-    pass
-
-
-class LengthMismatch(HarnessError):
     pass
 
 
@@ -82,7 +78,7 @@ def kendall_tau_b(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"shapes {x.shape} and {y.shape}")
+        raise HarnessError(f"shapes {x.shape} and {y.shape}")
     n = x.size
     if n < 2:
         raise DegenerateInput("need at least 2 observations")
@@ -110,14 +106,6 @@ def kendall_tau_b(x, y) -> float:
         (concordant + discordant + tied_x_only) * (concordant + discordant + tied_y_only)))
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """A Python int (not a bool) of at least minimum, or HarnessError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise HarnessError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise HarnessError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -129,9 +117,9 @@ class TrainConfig:
     eval_each_epoch: bool = True
 
     def __post_init__(self):
-        _check_int("epochs", self.epochs, 1)
-        _check_int("batch_size", self.batch_size, 1)
-        _check_int("seed", self.seed, 0)
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               check_int(getattr(self, name), name, minimum, HarnessError))
         if not 0.0 < self.lr < np.inf:
             raise HarnessError(f"lr must be a positive finite number, got {self.lr}")
         if self.mode != self.model.mode:
@@ -176,7 +164,7 @@ def predict(model: PredictorModel, graphs, mode: str,
     """
     if mode != model.config.mode:
         raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
-    _check_int("batch_size", batch_size, 1)
+    batch_size = check_int(batch_size, "batch_size", 1, HarnessError)
     graphs = list(graphs)
     if not graphs:
         raise HarnessError("no graphs to predict")
@@ -256,8 +244,8 @@ class EvalReport:
 def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
                    base_seed: int = 0) -> EvalReport:
     """Train n_trials models with consecutive seeds and average per-target tau."""
-    if n_trials < 1:
-        raise HarnessError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = check_int(n_trials, "n_trials", 1, HarnessError)
+    base_seed = check_int(base_seed, "base_seed", 0, HarnessError)
     per_seed = []
     for trial in range(n_trials):
         seed = base_seed + trial

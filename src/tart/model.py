@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import TARGET_NAMES
+from .graphs import TARGET_NAMES, check_int
 from .tokens import DEFAULT_D_P, MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
@@ -37,21 +37,6 @@ ADAM_EPS = 1e-8
 
 class ModelError(ValueError):
     pass
-
-
-class ShapeMismatch(ModelError):
-    pass
-
-
-class MaskEmpty(ModelError):
-    def __init__(self, sample: int):
-        super().__init__(f"sample {sample} has no real tokens to pool over")
-
-
-class NonFiniteActivation(ModelError):
-    def __init__(self, layer: str):
-        self.layer = layer
-        super().__init__(f"non-finite activation after {layer}")
 
 
 class StatsDegenerate(ModelError):
@@ -84,21 +69,16 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("n_layer", "d_model", "n_heads", "d_ff", "d_p"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
-        for name in ("n_layer", "d_model", "n_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+            minimum = 0 if name == "d_p" else 1
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum,
+                                                     ModelError))
         if self.d_model % self.n_heads != 0:
-            raise ShapeMismatch(
+            raise ModelError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ModelError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.mode not in MODES:
             raise ModelError(f"unknown tokenizer mode: {self.mode!r}")
-        if self.d_p < 0:
-            raise ModelError(f"d_p must be >= 0, got {self.d_p}")
         if self.mode == "pure":
             # d_p changes nothing a pure model computes, so equal models get equal headers
             object.__setattr__(self, "d_p", 0)
@@ -224,15 +204,15 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     cfg = model.config
     p = model.params
     if tokens.ndim != 3 or tokens.shape[-1] != cfg.input_width:
-        raise ShapeMismatch(
+        raise ModelError(
             f"tokens shape {tokens.shape} incompatible with input_width={cfg.input_width}")
     if mask.shape != tokens.shape[:2]:
-        raise ShapeMismatch(f"mask shape {mask.shape} != {tokens.shape[:2]}")
+        raise ModelError(f"mask shape {mask.shape} != {tokens.shape[:2]}")
 
     mask = mask.astype(bool)
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
-        raise MaskEmpty(int(np.argmin(counts)))
+        raise ModelError(f"sample {int(np.argmin(counts))} has no real tokens to pool over")
 
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
@@ -262,11 +242,11 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         x = ad.add(x, out)
 
         if not np.all(np.isfinite(x.value)):
-            raise NonFiniteActivation(f"layer{i}")
+            raise ModelError(f"non-finite activation after layer{i}")
 
     preds = ad.linear(ad.masked_mean(x, counts), p["head.w"], p["head.b"])
     if not np.all(np.isfinite(preds.value)):
-        raise NonFiniteActivation("head")
+        raise ModelError("non-finite activation after head")
     return preds
 
 
@@ -288,7 +268,7 @@ def loss_mse(preds: Tensor, targets: np.ndarray, target_stats) -> Tensor:
             raise StatsDegenerate(j)
     z = (targets - mean) / std
     if preds.shape != z.shape:
-        raise ShapeMismatch(f"predictions {preds.shape} vs targets {z.shape}")
+        raise ModelError(f"predictions {preds.shape} vs targets {z.shape}")
     return ad.mean_all(ad.square(ad.sub(preds, ad.Tensor(z))))
 
 
@@ -304,7 +284,7 @@ def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         g = param.grad
         grads[name] = np.zeros_like(param.value) if g is None else g
         if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteActivation(f"gradient of {name}")
+            raise ModelError(f"non-finite activation after gradient of {name}")
     return float(loss.value), grads
 
 
@@ -321,7 +301,7 @@ def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> Non
     """In-place Adam update with bias correction, over all parameters at once."""
     for name, param in model.params.items():
         if grads[name].shape != param.value.shape:
-            raise ShapeMismatch(
+            raise ModelError(
                 f"gradient for {name}: {grads[name].shape} vs {param.value.shape}")
     state["t"] += 1
     t = state["t"]
@@ -350,7 +330,7 @@ def save_model(model: PredictorModel, path) -> None:
         for name, shape in parameter_shapes(model.config).items():
             value = model.params[name].value
             if value.shape != shape:
-                raise ShapeMismatch(f"parameter {name}: {value.shape} vs {shape}")
+                raise ModelError(f"parameter {name}: {value.shape} vs {shape}")
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 

@@ -30,20 +30,6 @@ class TokenizerError(ValueError):
     pass
 
 
-class FeatureGraphMismatch(TokenizerError):
-    def __init__(self, feats_n: int, graph_n: int):
-        super().__init__(f"spectral features cover {feats_n} nodes, graph has {graph_n}")
-
-
-class RowOverflow(TokenizerError):
-    def __init__(self, index, rows: int, r_max: int):
-        super().__init__(f"matrix {index}: {rows} rows exceed R_max={r_max}")
-
-
-class WidthMismatch(TokenizerError):
-    pass
-
-
 def token_width(d_p: int) -> int:
     return 1 + 2 * d_p + IDENTIFIER_WIDTH
 
@@ -68,7 +54,8 @@ def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
 def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) -> np.ndarray:
     """Assemble the full node+edge token matrix from precomputed positional features."""
     if feats.num_nodes != graph.num_nodes:
-        raise FeatureGraphMismatch(feats.num_nodes, graph.num_nodes)
+        raise TokenizerError(
+            f"spectral features cover {feats.num_nodes} nodes, graph has {graph.num_nodes}")
 
     d_p = feats.P.shape[1]
     pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
@@ -115,6 +102,8 @@ def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P)
 
 def token_rows(graph: ComputationalGraph, mode: str) -> int:
     """Row count of tokenize_graph(graph, mode), read off the graph without tokenizing it."""
+    if mode not in MODES:
+        raise TokenizerError(f"unknown tokenization mode: {mode!r}")
     return graph.num_nodes + graph.num_edges if mode == "tart" else graph.num_nodes
 
 
@@ -130,9 +119,9 @@ def pad_batch(matrices, r_max: int) -> PaddedBatch:
     width = matrices[0].shape[1]
     for i, m in enumerate(matrices):
         if m.shape[1] != width:
-            raise WidthMismatch(f"matrix {i} has width {m.shape[1]}, expected {width}")
+            raise TokenizerError(f"matrix {i} has width {m.shape[1]}, expected {width}")
         if len(m) > r_max:
-            raise RowOverflow(i, len(m), r_max)
+            raise TokenizerError(f"matrix {i}: {len(m)} rows exceed R_max={r_max}")
     batch = np.zeros((len(matrices), r_max, width), dtype=np.float64)
     mask = np.zeros((len(matrices), r_max), dtype=bool)
     for i, m in enumerate(matrices):

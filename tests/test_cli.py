@@ -1,3 +1,4 @@
+import inspect
 import json
 import struct
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from tart import cli
 from tart import config
 from tart import graphs as gc
+from tart import harness as hn
 from tart import model as md
 from tart import tokens as tk
 from tart.harness import TrainConfig, evaluate_predictor
@@ -382,6 +384,39 @@ class TestEvalAndCompare:
                          "--out-csv", str(csv_flag))
         assert code == 0
         assert csv_env.read_bytes() == csv_flag.read_bytes()
+
+
+# every exception class the package defines, and the exit code the CLI gives it
+EXIT_CODES = {
+    gc.GraphError: 1, gc.InvalidSpec: 2, gc.ParseError: 2, gc.ValidationError: 2,
+    tk.TokenizerError: 1, md.ModelError: 1, md.StatsDegenerate: 3, md.VersionMismatch: 1,
+    md.CorruptFile: 1, hn.HarnessError: 2, hn.DegenerateInput: 3, config.ConfigError: 2,
+}
+# constructor arguments of the classes that take more than a message
+ERROR_ARGS = {gc.ParseError: (3, "bad value"), gc.ValidationError: ("r1", gc.InvalidSpec("x")),
+              md.StatsDegenerate: (0,)}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        defined = {cls for module in (gc, tk, md, hn, config)
+                   for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if issubclass(cls, Exception) and cls.__module__ == module.__name__}
+        assert defined == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda cls: cls.__name__)
+    def test_error_exit_code(self, error, capsys, monkeypatch):
+        exc = error(*ERROR_ARGS.get(error, ("bad value",)))
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        code, stdout, err = run(capsys, "eval", "--model", "m.ckpt", "--data", "d.jsonl")
+        assert code == EXIT_CODES[error]
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and err.endswith(f"{exc}\n")
 
 
 class TestHelp:

@@ -23,25 +23,23 @@ class TestValidateGraph:
         assert g.topo_order == (0, 1, 2)
 
     def test_two_cycle(self):
-        with pytest.raises(gc.CycleDetected):
+        with pytest.raises(gc.InvalidSpec, match="graph contains a cycle"):
             gc.make_graph(2, [1, 1], [(0, 1), (1, 0)])
 
     def test_op_code_out_of_range(self):
-        with pytest.raises(gc.InvalidNodeCode) as exc:
+        with pytest.raises(gc.InvalidSpec, match="node 1: op code 16"):
             gc.make_graph(2, [1, 16], [(0, 1)])
-        assert exc.value.index == 1
-        assert exc.value.code == 16
 
     def test_self_loop(self):
-        with pytest.raises(gc.InvalidEdge):
+        with pytest.raises(gc.InvalidSpec, match=r"edge \(0, 0\): endpoint out of range"):
             gc.make_graph(2, [1, 2], [(0, 0)])
 
     def test_endpoint_out_of_range(self):
-        with pytest.raises(gc.InvalidEdge):
+        with pytest.raises(gc.InvalidSpec, match=r"edge \(0, 5\): endpoint out of range"):
             gc.make_graph(2, [1, 2], [(0, 5)])
 
     def test_duplicate_edge(self):
-        with pytest.raises(gc.DuplicateEdge):
+        with pytest.raises(gc.InvalidSpec, match=r"edge \(0, 1\) appears more than once"):
             gc.make_graph(3, [1, 2, 3], [(0, 1), (0, 1)])
 
     # int() would truncate each float, so 2.9 nodes would quietly become 2
@@ -79,7 +77,7 @@ def graph_fields(draw):
     """make_graph arguments: small ints, with a bad value in any place now and then.
 
     Edges repeat, form cycles and leave the node range often enough that every
-    GraphError subclass and many valid graphs show up in a few hundred examples.
+    graph fault and many valid graphs show up in a few hundred examples.
     """
     n = draw(st.integers(2, 6))
     edge = mostly(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
@@ -92,16 +90,16 @@ class TestCheckedOnConstruction:
     """Every graph is checked when built, `dataclasses.replace` copies included."""
 
     def test_replace_making_a_cycle(self):
-        with pytest.raises(gc.CycleDetected):
+        with pytest.raises(gc.InvalidSpec, match="graph contains a cycle"):
             replace(CHAIN, edges=((0, 1), (1, 2), (2, 0)))
 
     @pytest.mark.parametrize("edge", [(0, -1), (1, 1)])
     def test_replace_with_bad_edge(self, edge):
-        with pytest.raises(gc.InvalidEdge):
+        with pytest.raises(gc.InvalidSpec, match="endpoint out of range or self-loop"):
             replace(CHAIN, edges=(edge,))
 
     def test_replace_with_bad_op_code(self):
-        with pytest.raises(gc.InvalidNodeCode):
+        with pytest.raises(gc.InvalidSpec, match="node 1: op code 99"):
             replace(CHAIN, node_ops=(3, 99, 3))
 
     def test_topo_order_cannot_be_passed(self):
@@ -199,7 +197,8 @@ class TestDatasetIO:
                         '"edges": [[0, 1], [1, 0]]}\n')
         with pytest.raises(gc.ValidationError) as exc:
             gc.read_dataset(path)
-        assert isinstance(exc.value.cause, gc.CycleDetected)
+        assert isinstance(exc.value.cause, gc.InvalidSpec)
+        assert "cycle" in str(exc.value.cause)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -315,8 +314,16 @@ class TestSplit:
         assert [r.id for r in a.test] == [r.id for r in b.test]
 
     def test_not_enough(self):
-        with pytest.raises(gc.NotEnoughRecords):
+        with pytest.raises(gc.InvalidSpec,
+                           match="requested 1001 train records, only 1000 available"):
             gc.split_dataset(self._records(1000), 1001, seed=0)
+
+    @pytest.mark.parametrize("n_train,seed,named", [
+        (-1, 0, "n_train"), (True, 0, "n_train"), (2.5, 0, "n_train"), ("3", 0, "n_train"),
+        (3, -1, "seed"), (3, True, "seed"), (3, 1.5, "seed")])
+    def test_invalid_size_or_seed(self, n_train, seed, named):
+        with pytest.raises(gc.InvalidSpec, match=named):
+            gc.split_dataset(self._records(10), n_train, seed)
 
 
 class TestSynthetic:
@@ -357,7 +364,12 @@ class TestSynthetic:
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=-1.0),
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=float("nan")),
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=float("inf")),
+        dict(count=True, max_nodes=8, edge_density=0.5, noise_sigma=0.0),
+        dict(count=2.5, max_nodes=8, edge_density=0.5, noise_sigma=0.0),
+        dict(count=5, max_nodes=8.0, edge_density=0.5, noise_sigma=0.0),
+        dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=0.0, seed=-1),
+        dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=0.0, seed=1.5),
     ])
     def test_invalid_spec(self, kwargs):
         with pytest.raises(gc.InvalidSpec):
-            gc.generate_synthetic(seed=0, **kwargs)
+            gc.generate_synthetic(**{"seed": 0, **kwargs})

@@ -94,7 +94,7 @@ class TestKendallTau:
             hn.kendall_tau_b([1], [2])
 
     def test_length_mismatch(self):
-        with pytest.raises(hn.LengthMismatch):
+        with pytest.raises(hn.HarnessError, match=r"shapes \(2,\) and \(3,\)"):
             hn.kendall_tau_b([1, 2], [1, 2, 3])
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -275,7 +275,8 @@ class TestTrainPredictor:
 class TestTrainConfig:
     @pytest.mark.parametrize("name,value", [("epochs", 2.5), ("batch_size", 2.5),
                                             ("epochs", True), ("batch_size", True),
-                                            ("epochs", "2")])
+                                            ("epochs", "2"), ("epochs", np.float64(2.0)),
+                                            ("batch_size", np.bool_(True))])
     def test_non_integer_size_rejected(self, name, value):
         with pytest.raises(hn.HarnessError, match=name):
             tiny_train_config(**{name: value})
@@ -284,6 +285,23 @@ class TestTrainConfig:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(hn.HarnessError, match="seed"):
             tiny_train_config(seed=seed)
+
+    def test_numpy_integers_accepted_and_stored_as_int(self, tmp_path):
+        n = np.int64
+        model_cfg = EncoderConfig(n_layer=n(1), d_model=n(8), n_heads=n(2), d_ff=n(16), d_p=n(2))
+        cfg = tiny_train_config(epochs=n(1), batch_size=n(8), seed=n(3), model=model_cfg)
+        stored = [cfg.epochs, cfg.batch_size, cfg.seed, model_cfg.n_layer, model_cfg.d_model,
+                  model_cfg.n_heads, model_cfg.d_ff, model_cfg.d_p]
+        assert all(type(value) is int for value in stored)
+        records = tart.generate_synthetic(n(24), n(8), 0.4, 0.05, seed=n(0))
+        assert records == tart.generate_synthetic(24, 8, 0.4, 0.05, seed=0)
+        split = tart.split_dataset(records, n(16), seed=n(0))
+        assert split == small_split()
+        model, _ = tart.train_predictor(split, cfg)
+        tart.save_model(model, tmp_path / "m.ckpt")  # the config's JSON header takes only ints
+        graphs = [r.graph for r in split.test]
+        assert np.array_equal(hn.predict(model, graphs, "tart", batch_size=n(4)),
+                              hn.predict(model, graphs, "tart", batch_size=4))
 
     def test_checks_cannot_be_bypassed_by_assignment(self):
         cfg = tiny_train_config()
@@ -333,6 +351,14 @@ class TestRunExperiment:
         split = small_split()
         report = tart.run_experiment(split, tiny_train_config(), n_trials=1, base_seed=2)
         assert report.mean_tau == report.per_seed[0]["tau"]
+
+    @pytest.mark.parametrize("n_trials,base_seed,named", [
+        (0, 0, "n_trials"), (True, 0, "n_trials"), (1.5, 0, "n_trials"),
+        (1, True, "base_seed"), (1, -1, "base_seed")])
+    def test_invalid_trial_count_or_seed_rejected(self, n_trials, base_seed, named):
+        with pytest.raises(hn.HarnessError, match=named):
+            tart.run_experiment(small_split(), tiny_train_config(), n_trials=n_trials,
+                                base_seed=base_seed)
 
     def test_deterministic_report(self):
         split = small_split()

@@ -322,7 +322,7 @@ class TestForward:
         tokens = np.zeros((2, 3, 11))
         mask = np.zeros((2, 3), dtype=bool)
         mask[0, 0] = True
-        with pytest.raises(md.MaskEmpty):
+        with pytest.raises(md.ModelError, match="sample 1 has no real tokens to pool over"):
             md.encoder_forward(model, tokens, mask)
 
     def test_batch_independence(self):
@@ -395,7 +395,8 @@ class TestForward:
 
     def test_shape_mismatch(self):
         model = md.init_model(tiny_config(), seed=0)
-        with pytest.raises(md.ShapeMismatch):
+        with pytest.raises(md.ModelError,
+                           match=r"tokens shape \(1, 3, 7\) incompatible with input_width=11"):
             md.encoder_forward(model, np.zeros((1, 3, 7)), np.ones((1, 3), dtype=bool))
 
 
@@ -551,7 +552,7 @@ class TestAdam:
         state = md.adam_init(model)
         grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
         grads["head.b"] = np.zeros(99)
-        with pytest.raises(md.ShapeMismatch):
+        with pytest.raises(md.ModelError, match=r"gradient for head.b: \(99,\) vs \(4,\)"):
             md.adam_step(model, grads, state, lr=1e-3)
 
 
@@ -559,6 +560,8 @@ class TestEncoderConfig:
     @pytest.mark.parametrize("overrides", [
         {"mode": "lap"}, {"mode": "node-only"}, {"d_p": -1}, {"n_heads": 3},
         {"d_model": 0}, {"n_heads": 0}, {"d_ff": 0}, {"n_layer": -1}, {"n_layer": 1.0},
+        {"n_layer": True}, {"d_model": np.float64(8.0)}, {"d_p": np.bool_(True)},
+        {"d_ff": "16"},
     ])
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(md.ModelError):

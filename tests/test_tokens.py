@@ -81,7 +81,7 @@ class TestLapLayout:
     def test_feature_graph_mismatch(self):
         g = gc.make_graph(3, [1, 1, 1], [(0, 1)])
         other = lap_features(gc.make_graph(2, [1, 1], [(0, 1)]))
-        with pytest.raises(tk.FeatureGraphMismatch):
+        with pytest.raises(tk.TokenizerError, match="spectral features cover 2 nodes, graph has 3"):
             tk.tokenize_lap(g, other)
 
 
@@ -123,6 +123,12 @@ def test_token_rows_is_the_tokenized_row_count(mode):
         assert tk.token_rows(g, mode) == len(tk.tokenize_graph(g, mode, d_p=2))
 
 
+@pytest.mark.parametrize("count_rows", [tk.token_rows, tk.tokenize_graph])
+def test_unknown_mode_rejected(count_rows):
+    with pytest.raises(tk.TokenizerError, match="unknown tokenization mode: 'bogus'"):
+        count_rows(gc.make_graph(3, [1, 2, 3], [(0, 1)]), "bogus")
+
+
 class TestIdentifierRoundTrip:
     def test_decode_matches_row_kinds(self):
         rng = np.random.default_rng(9)
@@ -148,12 +154,12 @@ class TestPadBatch:
 
     def test_row_overflow(self):
         g = gc.make_graph(5, [1] * 5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-        with pytest.raises(tk.RowOverflow):
+        with pytest.raises(tk.TokenizerError, match="matrix 0: 15 rows exceed R_max=12"):
             tk.pad_batch([lap_tokens(g)], 12)
 
     def test_width_mismatch(self):
         g = gc.make_graph(2, [1, 2], [(0, 1)])
-        with pytest.raises(tk.WidthMismatch):
+        with pytest.raises(tk.TokenizerError, match="matrix 1 has width 9, expected 11"):
             tk.pad_batch([lap_tokens(g, d_p=3), lap_tokens(g, d_p=2)], 12)
 
 
