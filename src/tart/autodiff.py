@@ -5,11 +5,14 @@ layer norm, masked softmax, GELU, dropout, concatenation and unstacking,
 row gather and scatter between packed and padded layouts, mean pooling over
 packed rows, and the elementwise arithmetic needed for losses. Each op
 records vector-Jacobian closures; backward() walks the tape in reverse
-topological order.
+topological order. Inside no_tape() a thread records nothing, so an eval
+forward frees each intermediate as soon as the next op has read it.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import threading
 
 import numpy as np
 from scipy.special import erf
@@ -24,8 +27,10 @@ def _keep_freed_memory() -> None:
     kernel zero-fills it: 0.3-0.4 s of a 1.5 s scoring pass of 2,500 graphs
     went to system time. Serving blocks below 32 MiB from the heap, and
     trimming it only past 256 MiB of free space at the top (64 MiB still left
-    36,000 faults per pass), keeps those pages in the process. A no-op where
-    the C library has no mallopt (not glibc).
+    36,000 faults per pass), keeps those pages in the process. One arena
+    serves every thread: with an arena per thread, each worker of a parallel
+    predict would keep a high-water heap of its own. A no-op where the C
+    library has no mallopt (not glibc).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -35,6 +40,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its 64-bit maximum
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_freed_memory()
@@ -44,13 +50,36 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 LAYER_NORM_EPS = 1e-5
 
 
+class _Tape(threading.local):
+    recording = True
+
+
+_tape = _Tape()
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Record no parents for tensors this thread builds inside the block.
+
+    Outputs hold only their values, so nothing can be differentiated through
+    them, and each intermediate is freed once nothing reads it. The setting
+    is per thread and is restored on exit, exceptions included.
+    """
+    recording = _tape.recording
+    _tape.recording = False
+    try:
+        yield
+    finally:
+        _tape.recording = recording
+
+
 class Tensor:
     __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = parents
+        self.parents = parents if _tape.recording else ()
 
     @property
     def shape(self):

@@ -9,6 +9,7 @@ Datasets are stored as JSONL, one labeled graph per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,6 +58,20 @@ def check_int(value, what: str, minimum: int, error=InvalidSpec) -> int:
         raise error(str(exc)) from exc
     if value < minimum:
         raise error(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_float(value, what: str, interval: str, error=InvalidSpec) -> float:
+    """value as a finite Python float inside interval, written like "[0, 1)" or
+    "(0, inf)"; a bool, string or anything else that is not a real number raises error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{what} must be a real number, got {value!r}")
+    value = float(value)
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value > low if interval[0] == "(" else value >= low
+    below = value < high if interval[-1] == ")" else value <= high
+    if not (math.isfinite(value) and above and below):
+        raise error(f"{what} must be a finite number in {interval}, got {value!r}")
     return value
 
 
@@ -292,10 +307,8 @@ def generate_synthetic(count: int, max_nodes: int, edge_density: float,
     """
     count = check_int(count, "count", 1)
     max_nodes = check_int(max_nodes, "max_nodes", 2)
-    if not (0.0 < edge_density <= 1.0):
-        raise InvalidSpec(f"edge_density must be in (0, 1], got {edge_density}")
-    if not 0.0 <= noise_sigma < np.inf:
-        raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    edge_density = check_float(edge_density, "edge_density", "(0, 1]")
+    noise_sigma = check_float(noise_sigma, "noise_sigma", "[0, inf)")
     seed = check_int(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)

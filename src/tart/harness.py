@@ -1,11 +1,14 @@
 """Training loop, Kendall-Tau evaluation, and multi-seed experiment orchestration."""
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import TARGET_NAMES, DatasetSplit, check_int
+from .autodiff import no_tape
+from .graphs import TARGET_NAMES, DatasetSplit, check_float, check_int
 from .model import (EncoderConfig, PredictorModel, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
 from .tokens import pad_batch, token_rows, tokenize_many
@@ -120,8 +123,7 @@ class TrainConfig:
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name,
                                check_int(getattr(self, name), name, minimum, HarnessError))
-        if not 0.0 < self.lr < np.inf:
-            raise HarnessError(f"lr must be a positive finite number, got {self.lr}")
+        object.__setattr__(self, "lr", check_float(self.lr, "lr", "(0, inf)", HarnessError))
         if self.mode != self.model.mode:
             raise HarnessError(f"mode {self.mode!r} != model.mode {self.model.mode!r}")
 
@@ -136,22 +138,49 @@ def tau_table(predictions: np.ndarray, targets: np.ndarray) -> dict:
             for j, name in enumerate(TARGET_NAMES)}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
                        tokenize) -> np.ndarray:
     """Eval-mode predictions for items, in input order.
 
     Items are stable-sorted by token row count and cut into batches of
     batch_size; tokenize turns one batch of items into token matrices just
-    before it runs, and the batch is padded to its own longest matrix. Memory
-    is bounded by the batch, not by the number of items.
+    before it runs, and the batch is padded to its own longest matrix. The
+    batches run on up to one thread per usable CPU (numpy, BLAS and erf
+    release the GIL), each batch exactly as it would run alone, so the
+    output does not depend on the thread count; one batch or one CPU runs
+    inline and starts no thread. Memory is bounded by threads x batch, not by
+    the number of items. The first failing batch in sorted order raises, and
+    batches not yet started are cancelled.
     """
     order = np.argsort(rows, kind="stable")
     out = np.empty((len(items), len(TARGET_NAMES)))
-    for start in range(0, len(order), batch_size):
-        idx = order[start:start + batch_size]
+    batches = [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
+
+    def run(idx):
         mats = tokenize([items[i] for i in idx])
         batch = pad_batch(mats, max(len(m) for m in mats))
-        out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
+        with no_tape():
+            out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
+
+    workers = min(len(batches), _usable_cpus())
+    if workers == 1:
+        for idx in batches:
+            run(idx)
+        return out
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for future in [pool.submit(run, idx) for idx in batches]:
+            future.result()  # in submission order, so the error is the serial run's
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import TARGET_NAMES, check_int
+from .graphs import TARGET_NAMES, check_float, check_int
 from .tokens import DEFAULT_D_P, MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
@@ -75,8 +75,8 @@ class EncoderConfig:
         if self.d_model % self.n_heads != 0:
             raise ModelError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ModelError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        object.__setattr__(self, "dropout_p",
+                           check_float(self.dropout_p, "dropout_p", "[0, 1)", ModelError))
         if self.mode not in MODES:
             raise ModelError(f"unknown tokenizer mode: {self.mode!r}")
         if self.mode == "pure":

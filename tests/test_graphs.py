@@ -369,7 +369,37 @@ class TestSynthetic:
         dict(count=5, max_nodes=8.0, edge_density=0.5, noise_sigma=0.0),
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=0.0, seed=-1),
         dict(count=5, max_nodes=8, edge_density=0.5, noise_sigma=0.0, seed=1.5),
+        dict(count=3, max_nodes=6, edge_density=True, noise_sigma=0.0),
+        dict(count=3, max_nodes=6, edge_density=0.5, noise_sigma=True),
+        dict(count=3, max_nodes=6, edge_density=np.bool_(True), noise_sigma=0.0),
+        dict(count=3, max_nodes=6, edge_density="0.5", noise_sigma=0.0),
     ])
     def test_invalid_spec(self, kwargs):
         with pytest.raises(gc.InvalidSpec):
             gc.generate_synthetic(**{"seed": 0, **kwargs})
+
+    def test_numeric_density_and_noise_accepted(self):
+        assert (gc.generate_synthetic(3, 6, 1, 0, 0)
+                == gc.generate_synthetic(3, 6, np.float32(1.0), np.int64(0), 0)
+                == gc.generate_synthetic(3, 6, 1.0, 0.0, 0))
+
+
+class TestCheckFloat:
+    @pytest.mark.parametrize("value,interval", [
+        (0.0, "[0, 1)"), (0.5, "[0, 1)"), (1.0, "(0, 1]"), (1e300, "(0, inf)"),
+        (3, "[0, inf)"), (np.float32(0.25), "[0, 1)"), (np.int64(1), "(0, 1]")])
+    def test_accepted_and_returned_as_float(self, value, interval):
+        checked = gc.check_float(value, "x", interval)
+        assert type(checked) is float and checked == float(value)
+
+    @pytest.mark.parametrize("value,interval", [
+        (1.0, "[0, 1)"), (0.0, "(0, 1]"), (0.0, "(0, inf)"), (-1e-300, "[0, inf)"),
+        (float("inf"), "(0, inf)"), (float("inf"), "[0, inf]"), (float("nan"), "[0, inf)"),
+        (True, "[0, inf)"), (False, "[0, 1)"), (np.bool_(True), "(0, 1]"), ("0.5", "[0, 1)"),
+        (None, "[0, 1)"), (1j, "[0, 1)")])
+    def test_rejected_with_the_callers_error(self, value, interval):
+        class CallerError(ValueError):
+            pass
+
+        with pytest.raises(CallerError, match="x must be"):
+            gc.check_float(value, "x", interval, CallerError)

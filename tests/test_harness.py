@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tart
 from tart import harness as hn
 from tart import tokens as tk
-from tart.model import EncoderConfig
+from tart.model import EncoderConfig, ModelError
 
 
 def brute_force_tau_b(x, y):
@@ -198,6 +199,111 @@ class TestPredictBatching:
         assert hn.tau_table(preds, truth) == history[-1]["tau"]
 
 
+def with_cpus(monkeypatch, n):
+    """Make the process look as if its affinity mask held n CPUs."""
+    monkeypatch.setattr(hn.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestPredictThreads:
+    """Batches run on one thread per usable CPU; the output and errors are the serial run's."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [r.graph for r in tart.generate_synthetic(45, 12, 0.4, 0.0, seed=4)]
+
+    @staticmethod
+    def model(mode):
+        return tart.init_model(EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16,
+                                             dropout_p=0.0, mode=mode), seed=0)
+
+    @pytest.mark.parametrize("mode", ["tart", "pure"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equal_to_batches_run_one_by_one(self, graphs, mode, cpus, monkeypatch):
+        model = self.model(mode)
+        order = np.argsort([tk.token_rows(g, mode) for g in graphs], kind="stable")
+        serial = np.empty((len(graphs), 4))
+        for start in range(0, len(order), 8):  # 6 batches, the last one short
+            idx = order[start:start + 8]
+            serial[idx] = hn.predict(model, [graphs[i] for i in idx], mode, batch_size=8)
+        with_cpus(monkeypatch, cpus)
+        assert np.array_equal(hn.predict(model, graphs, mode, batch_size=8), serial)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_non_finite_parameter_raises_as_serial(self, graphs, cpus, monkeypatch):
+        model = self.model("tart")
+        model.params["head.b"].value[0] = np.nan
+        with_cpus(monkeypatch, cpus)
+        with pytest.raises(ModelError, match="^non-finite activation after head$"):
+            hn.predict(model, graphs, "tart", batch_size=8)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failing_batch_in_order_raises(self, graphs, cpus, monkeypatch):
+        """Batch 3 fails before batch 1 does, yet batch 1's error surfaces, as
+        it does serially; the batches still queued then never run."""
+        forward = hn.encoder_forward
+        widths = []
+        lock = threading.Lock()
+
+        def failing_forward(model, tokens, mask, train):
+            width = tokens.shape[1]
+            with lock:
+                widths.append(width)
+            if width == batch_widths[1]:
+                time.sleep(0.05)
+                raise ModelError("batch 1")
+            if width == batch_widths[3]:
+                raise ModelError("batch 3")
+            time.sleep(0.02)
+            return forward(model, tokens, mask, train=train)
+
+        rows = sorted(tk.token_rows(g, "tart") for g in graphs)
+        batch_widths = rows[2::3]  # each batch of 3 is padded to its last, longest graph
+        assert len(set(batch_widths[:4])) == 4 and len(batch_widths) == 15
+        monkeypatch.setattr(hn, "encoder_forward", failing_forward)
+        with_cpus(monkeypatch, cpus)
+        with pytest.raises(ModelError, match="^batch 1$"):
+            hn.predict(self.model("tart"), graphs, "tart", batch_size=3)
+        assert len(widths) < len(batch_widths)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_forwards_record_no_tape(self, graphs, cpus, monkeypatch):
+        forward = hn.encoder_forward
+        parents = []
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            parents.append(out.parents)
+            return out
+
+        monkeypatch.setattr(hn, "encoder_forward", recording_forward)
+        with_cpus(monkeypatch, cpus)
+        hn.predict(self.model("tart"), graphs, "tart", batch_size=8)
+        assert parents == [()] * 6
+
+    def test_threads_are_joined_on_return(self, graphs, monkeypatch):
+        before = threading.active_count()
+        with_cpus(monkeypatch, 3)
+        hn.predict(self.model("tart"), graphs, "tart", batch_size=8)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus,count", [(4, 1), (1, 45)])
+    def test_one_batch_or_one_cpu_starts_no_thread(self, graphs, cpus, count, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        assert hn.predict(self.model("tart"), graphs[:count], "tart",
+                          batch_size=8).shape == (count, 4)
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(hn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(hn.os, "cpu_count", lambda: 3)
+        assert hn._usable_cpus() == 3
+        monkeypatch.setattr(hn.os, "cpu_count", lambda: None)
+        assert hn._usable_cpus() == 1
+
+
 def has_mallopt():
     try:
         ctypes.CDLL(None).mallopt
@@ -302,6 +408,16 @@ class TestTrainConfig:
         graphs = [r.graph for r in split.test]
         assert np.array_equal(hn.predict(model, graphs, "tart", batch_size=n(4)),
                               hn.predict(model, graphs, "tart", batch_size=4))
+
+    @pytest.mark.parametrize("lr", [True, False, 0.0, -1e-3, float("inf"), float("nan"), "1e-3"])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(hn.HarnessError, match="lr"):
+            tiny_train_config(lr=lr)
+
+    def test_lr_stored_as_float(self):
+        cfg = tiny_train_config(lr=np.float32(0.5))
+        assert type(cfg.lr) is float and cfg.lr == 0.5
+        assert type(tiny_train_config(lr=1).lr) is float
 
     def test_checks_cannot_be_bypassed_by_assignment(self):
         cfg = tiny_train_config()

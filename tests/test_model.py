@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,66 @@ class TestGradientFidelity:
             assert np.all(g == 0.0), name
 
 
+class TestNoTape:
+    def test_eval_forward_keeps_no_parents_and_same_value(self):
+        rng = np.random.default_rng(3)
+        model = md.init_model(tiny_config(), seed=1)
+        tokens, mask = shared_row_batch(rng)
+        taped = md.encoder_forward(model, tokens, mask)
+        with ad.no_tape():
+            untaped = md.encoder_forward(model, tokens, mask)
+        assert taped.parents != () and untaped.parents == ()
+        assert np.array_equal(untaped.value, taped.value)
+
+    def test_setting_is_per_thread(self):
+        a, b = ad.Tensor(np.ones(2)), ad.Tensor(np.ones(2))
+        seen = {}
+
+        def build(name):
+            seen[name] = ad.add(a, b).parents
+
+        with ad.no_tape():
+            other = threading.Thread(target=build, args=("other thread",))
+            other.start()
+            other.join(timeout=10)
+            build("inside")
+        assert not other.is_alive()
+        assert seen["inside"] == () and len(seen["other thread"]) == 2
+
+        def build_untaped():
+            with ad.no_tape():
+                build("untaped thread")
+
+        worker = threading.Thread(target=build_untaped)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        build("after")
+        assert seen["untaped thread"] == () and len(seen["after"]) == 2
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(md.ModelError):
+            with ad.no_tape():
+                with ad.no_tape():
+                    pass
+                assert ad.add(ad.Tensor(1.0), ad.Tensor(2.0)).parents == ()
+                raise md.ModelError("boom")
+        assert len(ad.add(ad.Tensor(1.0), ad.Tensor(2.0)).parents) == 2
+
+    def test_backward_pass_gradients_unchanged(self):
+        rng = np.random.default_rng(4)
+        model = md.init_model(tiny_config(), seed=2)
+        tokens, mask = shared_row_batch(rng)
+        targets = rng.normal(size=(4, 4))
+        loss, grads = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        with ad.no_tape():
+            md.encoder_forward(model, tokens, mask)
+        loss_after, grads_after = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        assert loss_after == loss
+        assert all(np.any(g != 0.0) for g in grads.values())
+        assert all(np.array_equal(grads[name], grads_after[name]) for name in grads)
+
+
 class TestForward:
     def test_single_token_attention_is_identity_weighting(self):
         # one real token: softmax over one position is 1, pooling returns it
@@ -561,11 +622,19 @@ class TestEncoderConfig:
         {"mode": "lap"}, {"mode": "node-only"}, {"d_p": -1}, {"n_heads": 3},
         {"d_model": 0}, {"n_heads": 0}, {"d_ff": 0}, {"n_layer": -1}, {"n_layer": 1.0},
         {"n_layer": True}, {"d_model": np.float64(8.0)}, {"d_p": np.bool_(True)},
-        {"d_ff": "16"},
+        {"d_ff": "16"}, {"dropout_p": False}, {"dropout_p": True}, {"dropout_p": 1.0},
+        {"dropout_p": -0.1}, {"dropout_p": float("nan")}, {"dropout_p": "0.1"},
     ])
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(md.ModelError):
             tiny_config(**overrides)
+
+    def test_dropout_stored_as_float(self, tmp_path):
+        cfg = tiny_config(dropout_p=0)
+        assert type(cfg.dropout_p) is float and cfg == tiny_config(dropout_p=0.0)
+        path = tmp_path / "m.ckpt"
+        md.save_model(md.init_model(tiny_config(dropout_p=np.float32(0.5)), seed=0), path)
+        assert type(md.load_model(path).config.dropout_p) is float
 
     def test_pure_models_differing_only_in_d_p_are_equal(self, tmp_path):
         blobs = []

@@ -5,8 +5,8 @@ at its smoke size calls everything else the benchmark uses, so a rename,
 deletion or signature change that breaks the benchmark fails here, in the
 main suite, and not only in the benchmark's own self-test. A traced `tart`
 predict must also pass through the wrapped eigensolver and token assembly once
-per graph: a tokenizer that calls them by another name would leave those
-per-layer metrics reading 0.
+per graph, its batches on one thread or on several: a tokenizer that calls them
+by another name would leave those per-layer metrics reading 0.
 """
 from pathlib import Path
 
@@ -54,3 +54,18 @@ def test_traced_predict_reaches_token_layers(monkeypatch):
     with tracer.installed():
         harness.predict(model.init_model(encoder, seed=0), [r.graph for r in records], "tart")
     assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == len(records)
+
+
+def test_traced_predict_on_two_threads_counts_each_graph_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    import tracing
+
+    records = graphs.generate_synthetic(30, 8, 0.4, 0.0, seed=0)
+    encoder = model.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=8, dropout_p=0.0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.predict(model.init_model(encoder, seed=0), [r.graph for r in records], "tart",
+                        batch_size=4)
+    assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == len(records)
+    assert tracer.calls["model.encoder_forward"] == 8
