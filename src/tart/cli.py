@@ -15,8 +15,8 @@ from collections import Counter
 from . import graphs as gc
 from . import tokens as tk
 from .config import ConfigError, load_config, reference_doc
-from .harness import (DegenerateInput, HarnessError, TrainConfig, compare_modes,
-                      evaluate_predictor, train_predictor)
+from .harness import (HarnessError, TrainConfig, compare_modes, evaluate_predictor,
+                      train_predictor)
 from .model import EncoderConfig, ModelError, StatsDegenerate, load_model, save_model
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        epilog=reference_doc(), **common)
     p.add_argument("--config", default=None, help="config file (key = value lines)")
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
-    p.add_argument("--trials", type=int, default=None, help="override harness.trials")
+    p.add_argument("--trials", type=int, default=5, help="trials per mode, averaged")
     p.add_argument("--seed", type=_non_negative_int, default=seed_default,
                    help="base seed (TART_SEED env if set)")
     p.add_argument("--train-frac", type=float, default=0.5,
@@ -99,14 +99,13 @@ def _load_split(path: str, train_frac: float, seed: int) -> gc.DatasetSplit:
     return gc.split_dataset(records, n_train, seed)
 
 
-def _train_config(cfg: dict, seed: int, mode=None) -> TrainConfig:
+def _train_config(cfg: dict, seed: int) -> TrainConfig:
     try:
         model = EncoderConfig(
             n_layer=cfg["model.n_layer"], d_model=cfg["model.d_model"],
             n_heads=cfg["model.n_heads"], d_ff=cfg["model.d_ff"],
             dropout_p=cfg["model.dropout"],
-            mode=mode if mode is not None else cfg["train.mode"],
-            d_p=cfg["tokenizer.d_p"],
+            mode=cfg["train.mode"], d_p=cfg["tokenizer.d_p"],
         )
     except ModelError as exc:
         raise ConfigError(f"invalid model settings: {exc}") from exc
@@ -157,15 +156,14 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    tcfg = _train_config(load_config(args.config), args.seed)
     split = _load_split(args.data, args.train_frac, args.seed)
-    tcfg = _train_config(cfg, args.seed)
     model, history = train_predictor(split, tcfg)
     save_model(model, args.out_model)
     with open(args.history, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_history_csv(history))
     last = history[-1]
-    print(f"trained {tcfg.mode} model: {tcfg.epochs} epochs, final loss {last['loss']:.6f}")
+    print(f"trained {tcfg.model.mode} model: {tcfg.epochs} epochs, final loss {last['loss']:.6f}")
     if "tau" in last:
         print("test tau: " + json.dumps(last["tau"]))
     return EXIT_OK
@@ -179,12 +177,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    trials = args.trials if args.trials is not None else cfg["harness.trials"]
+    cfg = load_config(args.config, unread={"train.mode"})
+    cfg_pure, cfg_tart = (_train_config({**cfg, "train.mode": mode}, args.seed)
+                          for mode in ("pure", "tart"))
     split = _load_split(args.data, args.train_frac, args.seed)
-    cfg_pure = _train_config(cfg, args.seed, mode="pure")
-    cfg_tart = _train_config(cfg, args.seed, mode="tart")
-    comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=trials, base_seed=args.seed)
+    comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=args.trials,
+                               base_seed=args.seed)
     print(comparison.to_text())
     csv_text = comparison.to_csv()
     if args.out_csv:
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
                 "eval": cmd_eval, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (DegenerateInput, StatsDegenerate) as exc:
+    except StatsDegenerate as exc:
         print(f"error: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (gc.InvalidSpec, gc.ParseError, gc.ValidationError, ConfigError,

@@ -1,12 +1,12 @@
 """Flat dotted-key run configuration with documented defaults.
 
-Config files are plain text, one `key = value` per line, `#` comments.
-Unknown keys are rejected so typos fail loudly.
+Config files are plain UTF-8 text, one `key = value` per line, `#` comments.
+A key the command does not read, or one set twice, is rejected so that no
+value is silently dropped.
 """
 from __future__ import annotations
 
 from .harness import TrainConfig
-from .tokens import MODES
 
 
 class ConfigError(ValueError):
@@ -26,45 +26,50 @@ DEFAULTS = {
     "train.epochs": (_TRAIN.epochs, int, "training epochs"),
     "train.batch_size": (_TRAIN.batch_size, int, "minibatch size"),
     "train.lr": (_TRAIN.lr, float, "Adam learning rate"),
-    "train.mode": (_TRAIN.mode, str, "tokenization mode: tart (LAP) or pure (node-only)"),
+    "train.mode": (_MODEL.mode, str, "tokenization mode: tart (LAP) or pure (node-only)"),
     "tokenizer.d_p": (_MODEL.d_p, int, "tart positional feature width (no effect on pure)"),
-    "harness.trials": (5, int, "trials per experiment (averaged)"),
 }
-
-# checked at parse time: `compare` overrides train.mode, so no later check sees a bad value
-_VALID_CHOICES = {"train.mode": MODES}
 
 
 def default_config() -> dict:
     return {key: spec[0] for key, spec in DEFAULTS.items()}
 
 
-def parse_value(key: str, raw: str):
-    if key not in DEFAULTS:
-        raise ConfigError(f"unknown config key: {key!r}")
-    _, parser, _ = DEFAULTS[key]
-    try:
-        value = parser(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    if key in _VALID_CHOICES and value not in _VALID_CHOICES[key]:
-        raise ConfigError(f"{key!r} must be one of {_VALID_CHOICES[key]}, got {value!r}")
-    return value
+def load_config(path=None, unread=()) -> dict:
+    """Defaults, then file values; the file sets each key at most once.
 
-
-def load_config(path=None) -> dict:
-    """Defaults, then file values."""
+    A key not in DEFAULTS or in unread (keys the calling command sets itself:
+    compare runs both modes), a repeated key, an undecodable line and an
+    unparsable value raise ConfigError naming path:line. The dataclasses the
+    values build check their ranges.
+    """
     cfg = default_config()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, raw = (part.strip() for part in stripped.split("=", 1))
-                cfg[key] = parse_value(key, raw)
+    if path is None:
+        return cfg
+    set_on = {}
+    with open(path, "rb") as fh:
+        for line_no, raw_line in enumerate(fh, start=1):
+            where = f"{path}:{line_no}"
+            try:
+                stripped = raw_line.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{where}: not UTF-8: {exc}") from exc
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{where}: expected 'key = value'")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key not in DEFAULTS:
+                raise ConfigError(f"{where}: unknown config key: {key!r}")
+            if key in unread:
+                raise ConfigError(f"{where}: this command does not read {key!r}")
+            if key in set_on:
+                raise ConfigError(f"{where}: {key!r} is already set on line {set_on[key]}")
+            set_on[key] = line_no
+            try:
+                cfg[key] = DEFAULTS[key][1](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
     return cfg
 
 

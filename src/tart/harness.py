@@ -9,7 +9,7 @@ import numpy as np
 
 from .autodiff import no_tape
 from .graphs import TARGET_NAMES, DatasetSplit, check_float, check_int
-from .model import (EncoderConfig, PredictorModel, adam_init, adam_step,
+from .model import (EncoderConfig, PredictorModel, StatsDegenerate, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
 from .tokens import pad_batch, token_rows, tokenize_many
 
@@ -27,10 +27,6 @@ PREDICT_BATCH_SIZE = 64
 
 
 class HarnessError(ValueError):
-    pass
-
-
-class DegenerateInput(HarnessError):
     pass
 
 
@@ -84,7 +80,7 @@ def kendall_tau_b(x, y) -> float:
         raise HarnessError(f"shapes {x.shape} and {y.shape}")
     n = x.size
     if n < 2:
-        raise DegenerateInput("need at least 2 observations")
+        raise StatsDegenerate("need at least 2 observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise HarnessError("tau needs finite values; got NaN or inf")
     order = np.lexsort((y, x))
@@ -94,9 +90,9 @@ def kendall_tau_b(x, y) -> float:
     tied_x = _tied_pairs(xs)
     tied_y = _tied_pairs(y_sorted)
     if tied_x == all_pairs:
-        raise DegenerateInput("all x values tied")
+        raise StatsDegenerate("all x values tied")
     if tied_y == all_pairs:
-        raise DegenerateInput("all y values tied")
+        raise StatsDegenerate("all y values tied")
     tied_both = _tied_pairs(xs, ys)
     # equal values share a rank, so only strictly larger earlier values count as inversions
     discordant = _inversions(np.searchsorted(y_sorted, ys), n)
@@ -115,7 +111,7 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     model: EncoderConfig = field(default_factory=EncoderConfig)
-    mode: str = "tart"  # must restate model.mode, the tokenizer the encoder is built for
+    mode: str = "tart"  # a checked restatement of model.mode; nothing reads it but the check
     lr: float = 1e-3
     eval_each_epoch: bool = True
 
@@ -174,13 +170,11 @@ def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
     if workers == 1:
         for idx in batches:
             run(idx)
-        return out
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for future in [pool.submit(run, idx) for idx in batches]:
-            future.result()  # in submission order, so the error is the serial run's
-    finally:
-        pool.shutdown(cancel_futures=True)
+    else:
+        # map yields in submission order, so the error is the serial run's, and on an
+        # error it cancels the batches still queued; leaving the with block joins the threads
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, batches))
     return out
 
 
@@ -215,7 +209,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     if any(r.targets is None for r in split.train):
         raise HarnessError("training split contains unlabeled records")
 
-    train_mats = tokenize_many([r.graph for r in split.train], cfg.mode, d_p=cfg.model.d_p)
+    train_mats = tokenize_many([r.graph for r in split.train], cfg.model.mode, d_p=cfg.model.d_p)
     train_targets = _targets_matrix(split.train)
     target_stats = compute_target_stats(train_targets)
 
@@ -227,7 +221,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
                        and all(r.targets is not None for r in split.test))
     if eval_each_epoch:
         test_targets = _targets_matrix(split.test)
-        test_mats = tokenize_many([r.graph for r in split.test], cfg.mode, d_p=cfg.model.d_p)
+        test_mats = tokenize_many([r.graph for r in split.test], cfg.model.mode, d_p=cfg.model.d_p)
 
     history = []
     step = 0
@@ -240,7 +234,7 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             batch = pad_batch(mats, max(len(m) for m in mats))
             loss, grads = backward_pass(
                 model, batch.tokens, batch.mask, train_targets[idx], target_stats,
-                train=True, dropout_seed=cfg.seed * 1_000_003 + step)
+                dropout_seed=cfg.seed * 1_000_003 + step)
             adam_step(model, grads, state, lr=cfg.lr)
             losses.append(loss)
             step += 1

@@ -40,8 +40,7 @@ class ModelError(ValueError):
 
 
 class StatsDegenerate(ModelError):
-    def __init__(self, target_index: int):
-        super().__init__(f"target column {target_index} has zero standard deviation")
+    """Statistics that are undefined on the data: a zero std or a tau over all-tied values."""
 
 
 class VersionMismatch(ModelError):
@@ -256,7 +255,7 @@ def compute_target_stats(targets: np.ndarray):
     std = targets.std(axis=0)
     for j, s in enumerate(std):
         if s == 0.0:
-            raise StatsDegenerate(j)
+            raise StatsDegenerate(f"target column {j} has zero standard deviation")
     return mean, std
 
 
@@ -265,7 +264,7 @@ def loss_mse(preds: Tensor, targets: np.ndarray, target_stats) -> Tensor:
     mean, std = target_stats
     for j, s in enumerate(np.atleast_1d(std)):
         if s == 0.0:
-            raise StatsDegenerate(j)
+            raise StatsDegenerate(f"target column {j} has zero standard deviation")
     z = (targets - mean) / std
     if preds.shape != z.shape:
         raise ModelError(f"predictions {preds.shape} vs targets {z.shape}")
@@ -273,10 +272,10 @@ def loss_mse(preds: Tensor, targets: np.ndarray, target_stats) -> Tensor:
 
 
 def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
-                  targets: np.ndarray, target_stats, train: bool = False,
-                  dropout_seed: int = 0):
-    """Forward + loss + reverse sweep; returns (loss value, grads by name)."""
-    preds = encoder_forward(model, tokens, mask, train=train, dropout_seed=dropout_seed)
+                  targets: np.ndarray, target_stats, dropout_seed: int = 0):
+    """Train-mode forward (dropout drawn from dropout_seed) + loss + reverse sweep;
+    returns (loss value, grads by name)."""
+    preds = encoder_forward(model, tokens, mask, train=True, dropout_seed=dropout_seed)
     loss = loss_mse(preds, targets, target_stats)
     ad.backward(loss)
     grads = {}

@@ -2,7 +2,6 @@ import inspect
 import json
 import struct
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +19,12 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_outputs(command, tmp_path):
+    if command == "train":
+        return ["--out-model", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]
+    return ["--out-csv", str(tmp_path / "c.csv")]
 
 
 TINY_CONFIG = """\
@@ -193,10 +198,9 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_train_frac_out_of_range_exit_2(self, command, frac, dataset, config_file,
                                             tmp_path, capsys):
-        outputs = (["--out-model", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]
-                   if command == "train" else ["--out-csv", str(tmp_path / "c.csv")])
         code, _, err = run(capsys, command, "--config", str(config_file),
-                           "--data", str(dataset), "--train-frac", frac, *outputs)
+                           "--data", str(dataset), "--train-frac", frac,
+                           *command_outputs(command, tmp_path))
         assert code == 2
         assert "--train-frac" in err
 
@@ -210,7 +214,8 @@ class TestTrain:
                                                ("train.batch_size = 0", "batch_size"),
                                                ("train.lr = -0.01", "lr"),
                                                ("train.lr = 0", "lr"),
-                                               ("train.lr = nan", "lr")])
+                                               ("train.lr = nan", "lr"),
+                                               ("train.mode = foo", "mode")])
     def test_invalid_model_setting_exit_2(self, setting, named, dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + setting + "\n")
@@ -226,10 +231,8 @@ class TestTrain:
         records = gc.generate_synthetic(12, 8, 0.4, 0.05, seed=3)
         gc.write_dataset([replace(r, targets=replace(r.targets, inference_speed=0.5))
                           for r in records], data)
-        outputs = (["--out-model", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]
-                   if command == "train" else ["--out-csv", str(tmp_path / "c.csv")])
         code, _, err = run(capsys, command, "--config", str(config_file),
-                           "--data", str(data), *outputs)
+                           "--data", str(data), *command_outputs(command, tmp_path))
         assert code == 3
         assert "target column 2 has zero standard deviation" in err
 
@@ -255,30 +258,62 @@ NON_DEFAULT = {
     "train.lr": "0.01",
     "train.mode": "pure",
     "tokenizer.d_p": "4",
-    "harness.trials": "2",
 }
 
 
-@pytest.mark.parametrize("key", sorted(config.DEFAULTS))
-def test_every_config_key_has_an_effect(key, dataset, tmp_path, capsys, monkeypatch):
+class HandedOn(Exception):
+    pass
+
+
+def handed_on(monkeypatch, tmp_path, command, dataset, *flags):
+    """What command hands the harness: train_predictor's or compare_modes' arguments
+    after the split."""
+    def capture(split, *args, **kwargs):
+        raise HandedOn(args, kwargs)
+
+    monkeypatch.setattr(cli, "train_predictor" if command == "train" else "compare_modes",
+                        capture)
+    with pytest.raises(HandedOn) as exc:
+        cli.main([command, "--data", str(dataset), *flags, *command_outputs(command, tmp_path)])
+    return exc.value.args
+
+
+# compare runs both modes and rejects train.mode; train's ids are the bare keys
+@pytest.mark.parametrize("command,key", [
+    *(pytest.param("train", key, id=key) for key in sorted(config.DEFAULTS)),
+    *(pytest.param("compare", key, id=f"compare-{key}") for key in sorted(config.DEFAULTS)
+      if key != "train.mode")])
+def test_every_config_key_has_an_effect(command, key, dataset, tmp_path, monkeypatch):
     cfg_path = tmp_path / "one.cfg"
     cfg_path.write_text(f"{key} = {NON_DEFAULT[key]}\n")
-    cfg = config.load_config(cfg_path)
-    assert cfg[key] != config.DEFAULTS[key][0]
-    if key != "harness.trials":
-        assert cli._train_config(cfg, 0) != cli._train_config(config.default_config(), 0)
-        return
+    assert config.load_config(cfg_path)[key] != config.DEFAULTS[key][0]
+    default = handed_on(monkeypatch, tmp_path, command, dataset)
+    assert handed_on(monkeypatch, tmp_path, command, dataset, "--config", str(cfg_path)) != default
 
-    trial_counts = []
 
-    def fake_compare_modes(split, cfg_pure, cfg_tart, n_trials, base_seed):
-        trial_counts.append(n_trials)
-        return SimpleNamespace(to_text=lambda: "", to_csv=lambda: "")
+def test_compare_runs_5_trials_by_default(dataset, tmp_path, monkeypatch):
+    assert handed_on(monkeypatch, tmp_path, "compare", dataset)[1]["n_trials"] == 5
 
-    monkeypatch.setattr(cli, "compare_modes", fake_compare_modes)
-    assert run(capsys, "compare", "--data", str(dataset))[0] == 0
-    assert run(capsys, "compare", "--data", str(dataset), "--config", str(cfg_path))[0] == 0
-    assert trial_counts == [config.DEFAULTS[key][0], cfg[key]]
+
+class TestConfigFile:
+    """A config the command could only partly honour (a key it does not read, a key set
+    twice, a line it cannot decode) exits 2 naming path:line."""
+
+    @pytest.mark.parametrize("command,tail,message", [
+        ("train", b"harness.trials = 2\n", "unknown config key: 'harness.trials'"),
+        ("train", b"train.epochs = 2\n", "'train.epochs' is already set on line 7"),
+        ("compare", b"train.mode = tart\n", "this command does not read 'train.mode'"),
+        ("train", b"# caf\xe9\n", "not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["train-harness-trials", "key-set-twice", "compare-train-mode", "not-utf-8"])
+    def test_config_exit_2(self, command, tail, message, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(TINY_CONFIG.encode() + tail)
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--data", str(dataset),
+                                *command_outputs(command, tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}:10: {message}")
 
 
 def test_default_config_builds_the_dataclass_defaults():
@@ -390,11 +425,10 @@ class TestEvalAndCompare:
 EXIT_CODES = {
     gc.GraphError: 1, gc.InvalidSpec: 2, gc.ParseError: 2, gc.ValidationError: 2,
     tk.TokenizerError: 1, md.ModelError: 1, md.StatsDegenerate: 3, md.VersionMismatch: 1,
-    md.CorruptFile: 1, hn.HarnessError: 2, hn.DegenerateInput: 3, config.ConfigError: 2,
+    md.CorruptFile: 1, hn.HarnessError: 2, config.ConfigError: 2,
 }
 # constructor arguments of the classes that take more than a message
-ERROR_ARGS = {gc.ParseError: (3, "bad value"), gc.ValidationError: ("r1", gc.InvalidSpec("x")),
-              md.StatsDegenerate: (0,)}
+ERROR_ARGS = {gc.ParseError: (3, "bad value"), gc.ValidationError: ("r1", gc.InvalidSpec("x"))}
 
 
 class TestExitCodes:
