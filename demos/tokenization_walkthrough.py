@@ -37,7 +37,7 @@ print("row kinds:", tart.tokens.decode_row_kinds(tm))
 # The node-only baseline ("pure" mode) keeps just the node rows, without P blocks:
 #   [op_code/15 | 0, 1, -1, -1]
 # so two graphs with the same ops but different edges tokenize identically.
-nm = tart.tokenize_node_only(g)
+nm = tart.tokenize_graph(g, "pure")
 print(f"\nnode-only baseline: {nm.shape[0]} x {nm.shape[1]}")
 print(nm)
 

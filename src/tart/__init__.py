@@ -9,8 +9,7 @@ from .graphs import (ComputationalGraph, DatasetSplit, LabeledGraph,
                      PerformanceRecord, generate_synthetic, make_graph,
                      read_dataset, split_dataset, write_dataset)
 from .spectral import SpectralFeatures, build_normalized_laplacian, lap_features
-from .tokens import (PaddedBatch, pad_batch, tokenize_graph, tokenize_lap,
-                     tokenize_many, tokenize_node_only)
+from .tokens import PaddedBatch, pad_batch, tokenize_graph, tokenize_lap, tokenize_many
 from .model import (EncoderConfig, PredictorModel, adam_init, adam_step,
                     encoder_forward, init_model, load_model, loss_mse,
                     parameter_count, save_model)

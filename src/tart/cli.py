@@ -59,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input JSONL dataset")
     p.add_argument("--out", required=True, help="output binary token file")
     p.add_argument("--mode", choices=tk.MODES, default="tart", help="tokenization mode")
-    p.add_argument("--d-p", type=_non_negative_int, default=tk.DEFAULT_D_P,
-                   help="tart positional feature width (no effect on pure)")
+    p.add_argument("--d-p", type=_non_negative_int, default=None,
+                   help=f"tart positional feature width, {tk.DEFAULT_D_P} if not given; "
+                        "an error with --mode pure")
 
     p = sub.add_parser("train", help="train a predictor and write checkpoint + history CSV",
                        epilog=reference_doc(), **common)
@@ -140,8 +141,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
+    if args.mode == "pure" and args.d_p is not None:
+        raise ConfigError("--d-p sets the tart positional width; --mode pure does not read it")
     records = gc.read_dataset(args.input)
-    mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=args.d_p)
+    d_p = tk.DEFAULT_D_P if args.d_p is None else args.d_p
+    mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=d_p)
     token_elements = 0
     onehot_elements = 0
     for rec, m in zip(records, mats):

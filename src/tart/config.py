@@ -27,7 +27,7 @@ DEFAULTS = {
     "train.batch_size": (_TRAIN.batch_size, int, "minibatch size"),
     "train.lr": (_TRAIN.lr, float, "Adam learning rate"),
     "train.mode": (_MODEL.mode, str, "tokenization mode: tart (LAP) or pure (node-only)"),
-    "tokenizer.d_p": (_MODEL.d_p, int, "tart positional feature width (no effect on pure)"),
+    "tokenizer.d_p": (_MODEL.d_p, int, "tart positional feature width (not read by pure)"),
 }
 
 
@@ -39,9 +39,10 @@ def load_config(path=None, unread=()) -> dict:
     """Defaults, then file values; the file sets each key at most once.
 
     A key not in DEFAULTS or in unread (keys the calling command sets itself:
-    compare runs both modes), a repeated key, an undecodable line and an
-    unparsable value raise ConfigError naming path:line. The dataclasses the
-    values build check their ranges.
+    compare runs both modes), a repeated key, an undecodable line, an
+    unparsable value and a tokenizer.d_p that a pure train.mode would not
+    read raise ConfigError naming path:line. The dataclasses the values build
+    check their ranges.
     """
     cfg = default_config()
     if path is None:
@@ -70,6 +71,9 @@ def load_config(path=None, unread=()) -> dict:
                 cfg[key] = DEFAULTS[key][1](raw)
             except ValueError as exc:
                 raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    if cfg["train.mode"] == "pure" and "tokenizer.d_p" in set_on:
+        raise ConfigError(f"{path}:{set_on['tokenizer.d_p']}: a pure model does not read "
+                          "'tokenizer.d_p'")
     return cfg
 
 

@@ -314,9 +314,13 @@ class Comparison:
 
 def compare_modes(split: DatasetSplit, cfg_pure: TrainConfig, cfg_tart: TrainConfig,
                   n_trials: int = 5, base_seed: int = 0) -> Comparison:
-    """Side-by-side node-only (pure) baseline versus tart tokenization at equal budget."""
-    if cfg_pure.epochs != cfg_tart.epochs:
-        raise HarnessError("compare requires equal epochs in both configs")
+    """Side-by-side node-only (pure) baseline versus tart tokenization at equal budget.
+
+    cfg_tart must be a tart config and cfg_pure the same config in pure mode.
+    """
+    if cfg_tart.model.mode != "tart" or cfg_pure != replace(
+            cfg_tart, mode="pure", model=replace(cfg_tart.model, mode="pure")):
+        raise HarnessError("compare needs a tart config and the same config in pure mode")
     pure = run_experiment(split, cfg_pure, n_trials=n_trials, base_seed=base_seed)
     tart = run_experiment(split, cfg_tart, n_trials=n_trials, base_seed=base_seed)
     return Comparison(pure=pure, tart=tart)

@@ -21,25 +21,15 @@ class SpectralFeatures:
     """Per-node positional components.
 
     P is N x d_p; padded columns (when the graph has fewer informative
-    eigenpairs than d_p) are exactly zero, with eigenvalue NaN and
-    is_padded True.
+    eigenpairs than d_p) are exactly zero, with eigenvalue NaN.
     """
     P: np.ndarray
     eigenvalues: np.ndarray
-    is_padded: np.ndarray
 
     @property
-    def num_nodes(self) -> int:
-        return self.P.shape[0]
-
-
-def symmetrized_adjacency(graph: ComputationalGraph) -> np.ndarray:
-    n = graph.num_nodes
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in graph.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+    def is_padded(self) -> np.ndarray:
+        # a chosen eigenvalue is finite, since lap_features rejects a non-finite matrix
+        return np.isnan(self.eigenvalues)
 
 
 def build_normalized_laplacian(graph: ComputationalGraph) -> np.ndarray:
@@ -48,7 +38,9 @@ def build_normalized_laplacian(graph: ComputationalGraph) -> np.ndarray:
     Rows and columns of isolated nodes are entirely zero (including the
     diagonal), so isolated nodes contribute a zero eigenvalue each.
     """
-    a = symmetrized_adjacency(graph)
+    pairs = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    a = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.float64)
+    a[pairs.ravel(), pairs[:, ::-1].ravel()] = 1.0
     degree = a.sum(axis=1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0
@@ -58,26 +50,13 @@ def build_normalized_laplacian(graph: ComputationalGraph) -> np.ndarray:
     return lap
 
 
-def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
-    """Fix the arbitrary sign of each eigenvector column.
-
-    Each column is flipped so that its first entry above SIGN_PIVOT_TOL
-    (by node index) is positive.
-    """
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > SIGN_PIVOT_TOL)
-        if idx.size and col[idx[0]] < 0:
-            out[:, j] = -col
-    return out
-
-
 def lap_features(lap: np.ndarray, d_p: int) -> SpectralFeatures:
     """Eigenvectors of the d_p smallest non-trivial eigenvalues of a symmetric matrix.
 
     Trivial eigenpairs (|lambda| < 1e-9, one per connected component of
-    the Laplacian) are discarded. Missing columns are zero-padded.
+    the Laplacian) are discarded. Each chosen column is flipped so that its
+    first entry above SIGN_PIVOT_TOL, by node index, is positive. Missing
+    columns are zero-padded and never flipped, so they hold +0.0 only.
     """
     lap = np.asarray(lap, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
@@ -95,11 +74,9 @@ def lap_features(lap: np.ndarray, d_p: int) -> SpectralFeatures:
 
     p = np.zeros((n, d_p), dtype=np.float64)
     values = np.full(d_p, np.nan)
-    padded = np.ones(d_p, dtype=bool)
     if chosen.size:
-        p[:, : chosen.size] = eigenvectors[:, chosen]
+        live = eigenvectors[:, chosen]
+        pivot = live[np.argmax(np.abs(live) > SIGN_PIVOT_TOL, axis=0), np.arange(chosen.size)]
+        p[:, : chosen.size] = np.where(pivot < -SIGN_PIVOT_TOL, -live, live)
         values[: chosen.size] = eigenvalues[chosen]
-        padded[: chosen.size] = False
-    p = _apply_sign_convention(p)
-    return SpectralFeatures(P=p, eigenvalues=values, is_padded=padded)
-
+    return SpectralFeatures(P=p, eigenvalues=values)

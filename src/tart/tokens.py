@@ -51,26 +51,18 @@ def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
     return rows
 
 
-def tokenize_lap(graph: ComputationalGraph, feats: spectral.SpectralFeatures) -> np.ndarray:
-    """Assemble the full node+edge token matrix from precomputed positional features."""
-    if feats.num_nodes != graph.num_nodes:
-        raise TokenizerError(
-            f"spectral features cover {feats.num_nodes} nodes, graph has {graph.num_nodes}")
-
-    d_p = feats.P.shape[1]
+def tokenize_lap(graph: ComputationalGraph, d_p: int) -> np.ndarray:
+    """Node+edge token matrix of a graph, with its own d_p Laplacian positional features."""
+    # looked up on the module, so wrappers installed there (such as a tracer) see the calls
+    P = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p).P
     pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
     edges = np.zeros((len(pairs), token_width(d_p)), dtype=np.float64)
     edges[:, 0] = 1.0
-    edges[:, 1:1 + d_p] = feats.P[pairs[:, 0]]
-    edges[:, 1 + d_p:1 + 2 * d_p] = feats.P[pairs[:, 1]]
+    edges[:, 1:1 + d_p] = P[pairs[:, 0]]
+    edges[:, 1 + d_p:1 + 2 * d_p] = P[pairs[:, 1]]
     edges[:, -4] = 1.0
     edges[:, -2:] = pairs
-    return np.concatenate([_node_rows(graph, feats.P), edges])
-
-
-def tokenize_node_only(graph: ComputationalGraph) -> np.ndarray:
-    """Node rows without positional blocks, token_width(0) wide: the edge-blind baseline."""
-    return _node_rows(graph, np.zeros((graph.num_nodes, 0)))
+    return np.concatenate([_node_rows(graph, P), edges])
 
 
 def decode_row_kinds(matrix: np.ndarray) -> tuple:
@@ -92,11 +84,9 @@ def decode_row_kinds(matrix: np.ndarray) -> tuple:
 def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> np.ndarray:
     """One-stop tokenization: 'tart' (d_p positional features) or 'pure' (node rows only)."""
     if mode == "pure":
-        return tokenize_node_only(graph)
+        return _node_rows(graph, np.zeros((graph.num_nodes, 0)))
     if mode == "tart":
-        # looked up on the module, so wrappers installed there (such as a tracer) see the calls
-        feats = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p)
-        return tokenize_lap(graph, feats)
+        return tokenize_lap(graph, d_p)
     raise TokenizerError(f"unknown tokenization mode: {mode!r}")
 
 

@@ -146,6 +146,14 @@ class TestTokenize:
         assert exc.value.code == 2
         assert "--d-p" in capsys.readouterr().err
 
+    def test_d_p_with_pure_exit_2(self, dataset, tmp_path, capsys):
+        out = tmp_path / "t.bin"
+        code, stdout, err = run(capsys, "tokenize", "--in", str(dataset), "--out", str(out),
+                                "--mode", "pure", "--d-p", "9")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: --d-p sets the tart positional width")
+        assert not out.exists()
+
     def test_reduction_ratio_printed(self, dataset, tmp_path, capsys):
         code, stdout, _ = run(capsys, "tokenize", "--in", str(dataset),
                               "--out", str(tmp_path / "t.bin"))
@@ -304,7 +312,10 @@ class TestConfigFile:
         ("train", b"train.epochs = 2\n", "'train.epochs' is already set on line 7"),
         ("compare", b"train.mode = tart\n", "this command does not read 'train.mode'"),
         ("train", b"# caf\xe9\n", "not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
-    ], ids=["train-harness-trials", "key-set-twice", "compare-train-mode", "not-utf-8"])
+        ("train", b"tokenizer.d_p = 4\ntrain.mode = pure\n",
+         "a pure model does not read 'tokenizer.d_p'"),
+    ], ids=["train-harness-trials", "key-set-twice", "compare-train-mode", "not-utf-8",
+            "pure-d-p"])
     def test_config_exit_2(self, command, tail, message, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(TINY_CONFIG.encode() + tail)
@@ -335,7 +346,7 @@ class TestEvalAndCompare:
 
     def test_eval_uses_the_checkpoint_tokenizer(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "pure.cfg"
-        cfg.write_text(TINY_CONFIG + "train.mode = pure\ntokenizer.d_p = 4\n")
+        cfg.write_text(TINY_CONFIG + "train.mode = pure\n")
         ckpt = tmp_path / "m.ckpt"
         code, _, _ = run(capsys, "train", "--config", str(cfg), "--data", str(dataset),
                          "--out-model", str(ckpt), "--history", str(tmp_path / "h.csv"))

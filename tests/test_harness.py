@@ -174,6 +174,8 @@ class TestPredictBatching:
             return tk.pad_batch(matrices, r_max)
 
         monkeypatch.setattr(hn, "pad_batch", recording_pad_batch)
+        # on one CPU the batches pad in the order predict forms them; on more, as they finish
+        with_cpus(monkeypatch, 1)
         hn.predict(model, graphs, "tart", batch_size=8)
         assert len(padded) == 5
         assert all(r_max == longest for r_max, longest in padded)
@@ -489,13 +491,6 @@ class TestRunExperiment:
 
 
 class TestCompareModes:
-    def test_identical_configs_zero_difference(self):
-        split = small_split()
-        cfg = tiny_train_config()
-        comparison = hn.compare_modes(split, cfg, cfg, n_trials=1, base_seed=0)
-        for name, p in comparison.pure.mean_tau.items():
-            assert comparison.tart.mean_tau[name] == p
-
     def test_csv_row_count(self):
         split = small_split()
         comparison = hn.compare_modes(split, tiny_train_config(mode="pure"),
@@ -505,16 +500,19 @@ class TestCompareModes:
         assert lines[0] == "target,mode,seed,tau"
         assert len(lines) == 1 + 2 * 2 * 4  # modes x seeds x targets
 
-    def test_unequal_epochs_rejected(self):
-        split = small_split()
-        with pytest.raises(hn.HarnessError):
-            hn.compare_modes(split, tiny_train_config(epochs=1),
-                             tiny_train_config(epochs=2), n_trials=1)
+    @pytest.mark.parametrize("cfg_pure, cfg_tart", [
+        (tiny_train_config("pure", epochs=1), tiny_train_config(epochs=2)),
+        (tiny_train_config("pure", lr=1e-3), tiny_train_config(lr=2e-3)),
+        (tiny_train_config(), tiny_train_config()),
+        (tiny_train_config(), tiny_train_config("pure")),
+    ], ids=["epochs", "lr", "two-tart", "swapped"])
+    def test_unequal_epochs_rejected(self, cfg_pure, cfg_tart):
+        with pytest.raises(hn.HarnessError, match="same config in pure mode"):
+            hn.compare_modes(small_split(), cfg_pure, cfg_tart, n_trials=1)
 
     def test_text_table_mentions_reference_results(self):
-        split = small_split()
-        cfg = tiny_train_config()
-        comparison = hn.compare_modes(split, cfg, cfg, n_trials=1, base_seed=0)
+        comparison = hn.compare_modes(small_split(), tiny_train_config("pure"),
+                                      tiny_train_config(), n_trials=1, base_seed=0)
         text = comparison.to_text()
         assert "not reproduced" in text
         assert "0.266" in text and "0.210" in text

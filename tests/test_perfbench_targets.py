@@ -4,9 +4,11 @@ Installing its tracer looks up every wrapped name, and running each workload
 at its smoke size calls everything else the benchmark uses, so a rename,
 deletion or signature change that breaks the benchmark fails here, in the
 main suite, and not only in the benchmark's own self-test. A traced `tart`
-predict must also pass through the wrapped eigensolver and token assembly once
-per graph, its batches on one thread or on several: a tokenizer that calls them
-by another name would leave those per-layer metrics reading 0.
+predict must also pass through the wrapped Laplacian, eigensolver and token
+assembly once per graph, its batches on one thread or on several: a tokenizer
+that calls them by another name would leave those per-layer metrics reading 0.
+Token assembly calls the two spectral layers, so its span must hold theirs:
+`tokens.assemble_s` is its self time, and it is assembly alone only then.
 """
 from pathlib import Path
 
@@ -46,6 +48,8 @@ def test_workload_runs_at_smoke_size(name, tmp_path, monkeypatch):
 
 def test_traced_predict_reaches_token_layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    # one CPU: spans from two worker threads would nest into each other's
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     import tracing
 
     records = graphs.generate_synthetic(5, 8, 0.4, 0.0, seed=0)
@@ -53,7 +57,10 @@ def test_traced_predict_reaches_token_layers(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.installed():
         harness.predict(model.init_model(encoder, seed=0), [r.graph for r in records], "tart")
-    assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == len(records)
+    assert (tracer.calls["tokens.assemble"] == tracer.calls["spectral.laplacian"]
+            == tracer.calls["spectral.eigh"] == len(records))
+    assert (tracer.total["tokens.assemble"]
+            >= tracer.total["spectral.laplacian"] + tracer.total["spectral.eigh"])
 
 
 def test_traced_predict_on_two_threads_counts_each_graph_once(monkeypatch):

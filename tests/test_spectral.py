@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tart import graphs as gc
 from tart import spectral as sp
@@ -39,6 +40,29 @@ def jacobi_eigh(a, sweeps=100):
     return np.diag(a)[order], v[:, order]
 
 
+def reference_sign_convention(vectors):
+    """Column-by-column form of lap_features' sign rule, kept as a bitwise reference."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > sp.SIGN_PIVOT_TOL)
+        if idx.size and col[idx[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+@st.composite
+def dags_with_isolated_nodes(draw):
+    """DAGs on up to 12 nodes, where edges join only the first `linked` nodes before
+    a relabeling, so the rest are isolated and may take any index, 0 included."""
+    n = draw(st.integers(1, 12))
+    linked = draw(st.integers(1, n))
+    pairs = [(i, j) for i in range(linked) for j in range(i + 1, linked)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return gc.make_graph(n, [1] * n, [(label[u], label[v]) for u, v in chosen])
+
+
 def path_graph(n):
     return gc.make_graph(n, [1] * n, [(i, i + 1) for i in range(n - 1)])
 
@@ -65,6 +89,20 @@ class TestLaplacian:
         lap = sp.build_normalized_laplacian(g)
         assert np.all(lap[2] == 0.0)
         assert np.all(lap[:, 2] == 0.0)
+
+    def test_matches_edge_loop_reference(self):
+        # the adjacency once built one edge at a time; the Laplacian must keep its bits
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            g = random_valid_graph(rng)
+            a = np.zeros((g.num_nodes, g.num_nodes))
+            for u, v in g.edges:
+                a[u, v] = a[v, u] = 1.0
+            degree = a.sum(axis=1)
+            inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1.0)), 0.0)
+            ref = -inv_sqrt[:, None] * a * inv_sqrt[None, :]
+            ref[degree > 0, degree > 0] += 1.0
+            assert sp.build_normalized_laplacian(g).tobytes() == ref.tobytes()
 
     def test_symmetric_spectrum_bounds(self):
         rng = np.random.default_rng(11)
@@ -166,18 +204,24 @@ class TestLapFeatures:
                 assert same or flipped
             checked += 1
 
-    def test_sign_convention_first_entry_positive(self):
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            g = random_valid_graph(rng)
-            feats = sp.lap_features(sp.build_normalized_laplacian(g), 3)
-            for j in range(3):
-                if feats.is_padded[j]:
-                    continue
-                col = feats.P[:, j]
-                nonzero = col[np.abs(col) > 1e-9]
-                if nonzero.size:
-                    assert nonzero[0] > 0
+    @given(g=dags_with_isolated_nodes(), d_p=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_convention_first_entry_positive(self, g, d_p):
+        lap = sp.build_normalized_laplacian(g)
+        feats = sp.lap_features(lap, d_p)
+        values, vectors = np.linalg.eigh(lap)
+        chosen = np.flatnonzero(np.abs(values) >= sp.TRIVIAL_EIGENVALUE_TOL)[:d_p]
+        unsigned = np.zeros((g.num_nodes, d_p))
+        unsigned[:, :chosen.size] = vectors[:, chosen]
+        assert feats.P.tobytes() == reference_sign_convention(unsigned).tobytes()
+        for j in range(d_p):
+            col = feats.P[:, j]
+            above = np.flatnonzero(np.abs(col) > sp.SIGN_PIVOT_TOL)
+            if above.size:
+                assert col[above[0]] > 0
+            else:
+                assert col.tobytes() == unsigned[:, j].tobytes()
+        assert not np.signbit(feats.P[:, feats.is_padded]).any()
 
     @pytest.mark.parametrize("matrix", [np.array([[0.0, 1.0], [0.5, 0.0]]),
                                         np.full((3, 3), np.nan), np.full((3, 3), np.inf)],

@@ -13,7 +13,7 @@ def lap_features(g, d_p=3):
 
 
 def lap_tokens(g, d_p=3):
-    return tk.tokenize_lap(g, lap_features(g, d_p))
+    return tk.tokenize_lap(g, d_p)
 
 
 def graph_row_kinds(g):
@@ -58,7 +58,7 @@ class TestLapLayout:
         for _ in range(20):
             g = random_valid_graph(rng)
             feats = lap_features(g)
-            tm = tk.tokenize_lap(g, feats)
+            tm = tk.tokenize_lap(g, 3)
             for row, (u, v) in zip(tm[g.num_nodes:], sorted(g.edges), strict=True):
                 assert np.array_equal(row[1:4], feats.P[u])
                 assert np.array_equal(row[4:7], feats.P[v])
@@ -78,30 +78,24 @@ class TestLapLayout:
             assert tm.shape[1] == 1 + 2 * d_p + 4
             assert len(tm) == g.num_nodes + g.num_edges
 
-    def test_feature_graph_mismatch(self):
-        g = gc.make_graph(3, [1, 1, 1], [(0, 1)])
-        other = lap_features(gc.make_graph(2, [1, 1], [(0, 1)]))
-        with pytest.raises(tk.TokenizerError, match="spectral features cover 2 nodes, graph has 3"):
-            tk.tokenize_lap(g, other)
-
 
 class TestNodeOnly:
     def test_row_count_is_n(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_valid_graph(rng)
-            tm = tk.tokenize_node_only(g)
+            tm = tk.tokenize_graph(g, "pure")
             assert len(tm) == g.num_nodes
 
     def test_edge_blind(self):
         a = gc.make_graph(3, [1, 2, 3], [(0, 1), (1, 2)])
         b = gc.make_graph(3, [1, 2, 3], [(0, 2)])
-        assert np.array_equal(tk.tokenize_node_only(a),
-                              tk.tokenize_node_only(b))
+        assert np.array_equal(tk.tokenize_graph(a, "pure"),
+                              tk.tokenize_graph(b, "pure"))
 
     def test_feature_column(self):
         g = gc.make_graph(3, [1, 2, 3], [(0, 1), (1, 2)])
-        tm = tk.tokenize_node_only(g)
+        tm = tk.tokenize_graph(g, "pure")
         assert np.allclose(tm[:, 0], [1 / 15, 2 / 15, 3 / 15])
 
     @pytest.mark.parametrize("d_p", range(9))
@@ -135,7 +129,7 @@ class TestIdentifierRoundTrip:
         for _ in range(50):
             g = random_valid_graph(rng)
             assert tk.decode_row_kinds(lap_tokens(g)) == graph_row_kinds(g)
-            assert (tk.decode_row_kinds(tk.tokenize_node_only(g))
+            assert (tk.decode_row_kinds(tk.tokenize_graph(g, "pure"))
                     == graph_row_kinds(g)[:g.num_nodes])
 
 
