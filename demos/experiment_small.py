@@ -16,15 +16,8 @@ records = tart.generate_synthetic(count=200, max_nodes=12, edge_density=0.3,
 split = tart.split_dataset(records, n_train=100, seed=0)
 print(f"corpus: {len(split.train)} train / {len(split.test)} test graphs")
 
-
-def config(mode):
-    # the encoder config names the tokenizer it reads; TrainConfig restates it
-    encoder = EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=128,
-                            dropout_p=0.0, mode=mode)
-    return TrainConfig(epochs=20, batch_size=16, seed=0, model=encoder,
-                       mode=mode, lr=2e-3, eval_each_epoch=False)
-
-
-comparison = compare_modes(split, config("pure"), config("tart"),
-                           n_trials=2, base_seed=0)
+encoder = EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=128, dropout_p=0.0)
+cfg = TrainConfig(epochs=20, batch_size=16, seed=0, model=encoder, mode="tart", lr=2e-3,
+                  eval_each_epoch=False)
+comparison = compare_modes(split, cfg, n_trials=2)
 print(comparison.to_text())

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled JSONL dataset")
     p.add_argument("--trials", type=int, default=5, help="trials per mode, averaged")
     p.add_argument("--seed", type=_non_negative_int, default=seed_default,
-                   help="base seed (TART_SEED env if set)")
+                   help="seed of the split and the first trial (TART_SEED env if set)")
     p.add_argument("--train-frac", type=float, default=0.5,
                    help="fraction of records used for training, in (0, 1]")
     p.add_argument("--out-csv", default=None, help="write long-format comparison CSV here")
@@ -144,8 +144,7 @@ def cmd_tokenize(args) -> int:
     if args.mode == "pure" and args.d_p is not None:
         raise ConfigError("--d-p sets the tart positional width; --mode pure does not read it")
     records = gc.read_dataset(args.input)
-    d_p = tk.DEFAULT_D_P if args.d_p is None else args.d_p
-    mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=d_p)
+    mats = tk.tokenize_many([r.graph for r in records], args.mode, d_p=args.d_p)
     token_elements = 0
     onehot_elements = 0
     for rec, m in zip(records, mats):
@@ -181,12 +180,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config, unread={"train.mode"})
-    cfg_pure, cfg_tart = (_train_config({**cfg, "train.mode": mode}, args.seed)
-                          for mode in ("pure", "tart"))
+    cfg = _train_config(load_config(args.config, unread={"train.mode"}), args.seed)
     split = _load_split(args.data, args.train_frac, args.seed)
-    comparison = compare_modes(split, cfg_pure, cfg_tart, n_trials=args.trials,
-                               base_seed=args.seed)
+    comparison = compare_modes(split, cfg, n_trials=args.trials)
     print(comparison.to_text())
     csv_text = comparison.to_csv()
     if args.out_csv:

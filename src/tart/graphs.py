@@ -66,7 +66,10 @@ def check_float(value, what: str, interval: str, error=InvalidSpec) -> float:
     "(0, inf)"; a bool, string or anything else that is not a real number raises error."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise error(f"{what} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float's range; reported like an inf
+        value = math.inf
     low, high = (float(end) for end in interval[1:-1].split(","))
     above = value > low if interval[0] == "(" else value >= low
     below = value < high if interval[-1] == ")" else value <= high

@@ -261,24 +261,21 @@ def evaluate_predictor(model: PredictorModel, test) -> dict:
 @dataclass
 class EvalReport:
     per_seed: list          # [{"seed": int, "tau": {target: value}}, ...]
-    mean_tau: dict          # target -> mean over seeds
 
-
-def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5,
-                   base_seed: int = 0) -> EvalReport:
-    """Train n_trials models with consecutive seeds and average per-target tau."""
-    n_trials = check_int(n_trials, "n_trials", 1, HarnessError)
-    base_seed = check_int(base_seed, "base_seed", 0, HarnessError)
-    per_seed = []
-    for trial in range(n_trials):
-        seed = base_seed + trial
-        trial_cfg = replace(cfg, seed=seed, eval_each_epoch=False)
-        model, _ = train_predictor(split, trial_cfg)
-        tau = evaluate_predictor(model, split.test)
-        per_seed.append({"seed": seed, "tau": tau})
-    mean_tau = {name: float(np.mean([t["tau"][name] for t in per_seed]))
+    @property
+    def mean_tau(self) -> dict:  # target -> mean over seeds
+        return {name: float(np.mean([t["tau"][name] for t in self.per_seed]))
                 for name in TARGET_NAMES}
-    return EvalReport(per_seed=per_seed, mean_tau=mean_tau)
+
+
+def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5) -> EvalReport:
+    """Train n_trials models, on seeds cfg.seed, cfg.seed + 1, ..., and record each one's tau."""
+    n_trials = check_int(n_trials, "n_trials", 1, HarnessError)
+    per_seed = []
+    for seed in range(cfg.seed, cfg.seed + n_trials):
+        model, _ = train_predictor(split, replace(cfg, seed=seed, eval_each_epoch=False))
+        per_seed.append({"seed": seed, "tau": evaluate_predictor(model, split.test)})
+    return EvalReport(per_seed=per_seed)
 
 
 @dataclass
@@ -312,15 +309,13 @@ class Comparison:
         return "\n".join(lines) + "\n"
 
 
-def compare_modes(split: DatasetSplit, cfg_pure: TrainConfig, cfg_tart: TrainConfig,
-                  n_trials: int = 5, base_seed: int = 0) -> Comparison:
+def compare_modes(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5) -> Comparison:
     """Side-by-side node-only (pure) baseline versus tart tokenization at equal budget.
 
-    cfg_tart must be a tart config and cfg_pure the same config in pure mode.
+    cfg is the tart run; the pure run is cfg in pure mode, on the same seeds.
     """
-    if cfg_tart.model.mode != "tart" or cfg_pure != replace(
-            cfg_tart, mode="pure", model=replace(cfg_tart.model, mode="pure")):
-        raise HarnessError("compare needs a tart config and the same config in pure mode")
-    pure = run_experiment(split, cfg_pure, n_trials=n_trials, base_seed=base_seed)
-    tart = run_experiment(split, cfg_tart, n_trials=n_trials, base_seed=base_seed)
-    return Comparison(pure=pure, tart=tart)
+    if cfg.model.mode != "tart":
+        raise HarnessError(f"compare needs a tart config, got a {cfg.model.mode!r} one")
+    pure = replace(cfg, mode="pure", model=replace(cfg.model, mode="pure"))
+    return Comparison(pure=run_experiment(split, pure, n_trials=n_trials),
+                      tart=run_experiment(split, cfg, n_trials=n_trials))

@@ -5,7 +5,7 @@ A tokenized graph is a plain (R, C) float64 array. In "tart" mode it is
 duplicated, identifier [0,1,-1,-1]), then edge rows in lexicographic (u,v)
 order (constant feature 1.0, the two endpoint positional blocks, identifier
 [1,0,u,v]). The node-only "pure" variant is N x 5: the node rows without
-positional blocks, so d_p has no effect on it.
+positional blocks, so it takes no d_p.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .graphs import NUM_PRIMITIVES, ComputationalGraph
+from .graphs import NUM_PRIMITIVES, ComputationalGraph, check_int
 
 DEFAULT_D_P = 3
 MODES = ("tart", "pure")  # node+edge rows with positional features; node rows only
@@ -53,6 +53,7 @@ def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
 
 def tokenize_lap(graph: ComputationalGraph, d_p: int) -> np.ndarray:
     """Node+edge token matrix of a graph, with its own d_p Laplacian positional features."""
+    d_p = check_int(d_p, "d_p", 0, TokenizerError)
     # looked up on the module, so wrappers installed there (such as a tracer) see the calls
     P = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p).P
     pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
@@ -81,12 +82,15 @@ def decode_row_kinds(matrix: np.ndarray) -> tuple:
     return tuple(kinds)
 
 
-def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int = DEFAULT_D_P) -> np.ndarray:
-    """One-stop tokenization: 'tart' (d_p positional features) or 'pure' (node rows only)."""
+def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int | None = None) -> np.ndarray:
+    """One-stop tokenization: 'tart' (d_p positional features, DEFAULT_D_P if None) or
+    'pure' (node rows only, so a d_p other than None or 0 raises)."""
     if mode == "pure":
+        if d_p is not None and check_int(d_p, "d_p", 0, TokenizerError) != 0:
+            raise TokenizerError(f"pure tokens carry no positional features, got d_p={d_p}")
         return _node_rows(graph, np.zeros((graph.num_nodes, 0)))
     if mode == "tart":
-        return tokenize_lap(graph, d_p)
+        return tokenize_lap(graph, DEFAULT_D_P if d_p is None else d_p)
     raise TokenizerError(f"unknown tokenization mode: {mode!r}")
 
 
@@ -97,8 +101,8 @@ def token_rows(graph: ComputationalGraph, mode: str) -> int:
     return graph.num_nodes + graph.num_edges if mode == "tart" else graph.num_nodes
 
 
-def tokenize_many(graphs, mode: str, d_p: int = DEFAULT_D_P) -> list:
-    """Tokenize a sequence of graphs, in input order."""
+def tokenize_many(graphs, mode: str, d_p: int | None = None) -> list:
+    """Tokenize a sequence of graphs, in input order, as tokenize_graph does."""
     return [tokenize_graph(g, mode, d_p=d_p) for g in graphs]
 
 

@@ -396,7 +396,8 @@ class TestCheckFloat:
         (1.0, "[0, 1)"), (0.0, "(0, 1]"), (0.0, "(0, inf)"), (-1e-300, "[0, inf)"),
         (float("inf"), "(0, inf)"), (float("inf"), "[0, inf]"), (float("nan"), "[0, inf)"),
         (True, "[0, inf)"), (False, "[0, 1)"), (np.bool_(True), "(0, 1]"), ("0.5", "[0, 1)"),
-        (None, "[0, 1)"), (1j, "[0, 1)")])
+        (None, "[0, 1)"), (1j, "[0, 1)"),
+        pytest.param(10**400, "(0, inf)", id="10**400-(0, inf)")])
     def test_rejected_with_the_callers_error(self, value, interval):
         class CallerError(ValueError):
             pass

@@ -463,7 +463,7 @@ class TestTokenizerMode:
 class TestRunExperiment:
     def test_trial_count_and_mean(self):
         split = small_split()
-        report = tart.run_experiment(split, tiny_train_config(), n_trials=3, base_seed=5)
+        report = tart.run_experiment(split, tiny_train_config(seed=5), n_trials=3)
         assert len(report.per_seed) == 3
         assert [t["seed"] for t in report.per_seed] == [5, 6, 7]
         for name, mean in report.mean_tau.items():
@@ -472,47 +472,37 @@ class TestRunExperiment:
 
     def test_single_trial_mean_equals_trial(self):
         split = small_split()
-        report = tart.run_experiment(split, tiny_train_config(), n_trials=1, base_seed=2)
+        report = tart.run_experiment(split, tiny_train_config(seed=2), n_trials=1)
         assert report.mean_tau == report.per_seed[0]["tau"]
 
-    @pytest.mark.parametrize("n_trials,base_seed,named", [
-        (0, 0, "n_trials"), (True, 0, "n_trials"), (1.5, 0, "n_trials"),
-        (1, True, "base_seed"), (1, -1, "base_seed")])
-    def test_invalid_trial_count_or_seed_rejected(self, n_trials, base_seed, named):
+    # a bad seed is TrainConfig's to reject (TestTrainConfig::test_bad_seed_rejected)
+    @pytest.mark.parametrize("n_trials,seed,named", [
+        (0, 0, "n_trials"), (True, 0, "n_trials"), (1.5, 0, "n_trials")])
+    def test_invalid_trial_count_or_seed_rejected(self, n_trials, seed, named):
         with pytest.raises(hn.HarnessError, match=named):
-            tart.run_experiment(small_split(), tiny_train_config(), n_trials=n_trials,
-                                base_seed=base_seed)
+            tart.run_experiment(small_split(), tiny_train_config(seed=seed), n_trials=n_trials)
 
     def test_deterministic_report(self):
         split = small_split()
-        a = tart.run_experiment(split, tiny_train_config(), n_trials=2, base_seed=1)
-        b = tart.run_experiment(split, tiny_train_config(), n_trials=2, base_seed=1)
+        a = tart.run_experiment(split, tiny_train_config(seed=1), n_trials=2)
+        b = tart.run_experiment(split, tiny_train_config(seed=1), n_trials=2)
         assert (a.per_seed, a.mean_tau) == (b.per_seed, b.mean_tau)
 
 
 class TestCompareModes:
     def test_csv_row_count(self):
         split = small_split()
-        comparison = hn.compare_modes(split, tiny_train_config(mode="pure"),
-                                      tiny_train_config(mode="tart"),
-                                      n_trials=2, base_seed=0)
+        comparison = hn.compare_modes(split, tiny_train_config(), n_trials=2)
         lines = comparison.to_csv().strip().split("\n")
         assert lines[0] == "target,mode,seed,tau"
         assert len(lines) == 1 + 2 * 2 * 4  # modes x seeds x targets
 
-    @pytest.mark.parametrize("cfg_pure, cfg_tart", [
-        (tiny_train_config("pure", epochs=1), tiny_train_config(epochs=2)),
-        (tiny_train_config("pure", lr=1e-3), tiny_train_config(lr=2e-3)),
-        (tiny_train_config(), tiny_train_config()),
-        (tiny_train_config(), tiny_train_config("pure")),
-    ], ids=["epochs", "lr", "two-tart", "swapped"])
-    def test_unequal_epochs_rejected(self, cfg_pure, cfg_tart):
-        with pytest.raises(hn.HarnessError, match="same config in pure mode"):
-            hn.compare_modes(small_split(), cfg_pure, cfg_tart, n_trials=1)
+    def test_pure_config_rejected(self):
+        with pytest.raises(hn.HarnessError, match="compare needs a tart config"):
+            hn.compare_modes(small_split(), tiny_train_config("pure"), n_trials=1)
 
     def test_text_table_mentions_reference_results(self):
-        comparison = hn.compare_modes(small_split(), tiny_train_config("pure"),
-                                      tiny_train_config(), n_trials=1, base_seed=0)
+        comparison = hn.compare_modes(small_split(), tiny_train_config(), n_trials=1)
         text = comparison.to_text()
         assert "not reproduced" in text
         assert "0.266" in text and "0.210" in text

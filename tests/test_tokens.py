@@ -103,7 +103,7 @@ class TestNodeOnly:
         rng = np.random.default_rng(40 + d_p)
         for _ in range(10):
             g = random_valid_graph(rng)
-            pure = tk.tokenize_graph(g, "pure", d_p=d_p)
+            pure = tk.tokenize_graph(g, "pure")
             tart_nodes = lap_tokens(g, d_p=d_p)[:g.num_nodes]
             assert pure.shape == (g.num_nodes, tk.token_width(0))
             assert np.array_equal(pure, tart_nodes[:, [0, -4, -3, -2, -1]])
@@ -114,7 +114,18 @@ def test_token_rows_is_the_tokenized_row_count(mode):
     rng = np.random.default_rng(21)
     graphs = [random_valid_graph(rng) for _ in range(30)] + [gc.make_graph(3, [1, 2, 3], [])]
     for g in graphs:
-        assert tk.token_rows(g, mode) == len(tk.tokenize_graph(g, mode, d_p=2))
+        assert tk.token_rows(g, mode) == len(tk.tokenize_graph(g, mode))
+
+
+@pytest.mark.parametrize("mode,d_p", [
+    ("pure", 7), ("pure", True), ("tart", True), ("tart", 2.5), ("tart", -1), ("tart", "3")])
+def test_ignored_or_bad_d_p_rejected(mode, d_p):
+    g = gc.make_graph(3, [1, 2, 3], [(0, 1)])
+    with pytest.raises(tk.TokenizerError, match="d_p"):
+        tk.tokenize_many([g], mode, d_p=d_p)
+    if mode == "tart":
+        with pytest.raises(tk.TokenizerError, match="d_p"):
+            tk.tokenize_lap(g, d_p)
 
 
 @pytest.mark.parametrize("count_rows", [tk.token_rows, tk.tokenize_graph])
@@ -176,7 +187,7 @@ class TestBinaryFormat:
     def test_tokenize_many_round_trip(self, tmp_path, mode):
         rng = np.random.default_rng(34)
         graphs = [random_valid_graph(rng) for _ in range(8)]
-        mats = tk.tokenize_many(graphs, mode, d_p=2)
+        mats = tk.tokenize_many(graphs, mode)
         path = tmp_path / "tokens.bin"
         tk.write_token_file(path, [(f"g{i}", m) for i, m in enumerate(mats)])
         loaded = tk.read_token_file(path)
