@@ -149,12 +149,13 @@ def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
     Items are stable-sorted by token row count and cut into batches of
     batch_size; tokenize turns one batch of items into token matrices just
     before it runs, and the batch is padded to its own longest matrix. The
-    batches run on up to one thread per usable CPU (numpy, BLAS and erf
-    release the GIL), each batch exactly as it would run alone, so the
-    output does not depend on the thread count; one batch or one CPU runs
-    inline and starts no thread. Memory is bounded by threads x batch, not by
-    the number of items. The first failing batch in sorted order raises, and
-    batches not yet started are cancelled.
+    batches run on up to one thread per usable CPU, each batch exactly as it
+    would run alone, so the output does not depend on the thread count. The
+    encoder's numpy, BLAS and erf calls release the GIL; about 60% of
+    tokenization, its Python and small numpy calls, holds it (see README).
+    One batch or one CPU runs inline and starts no thread. Memory is bounded
+    by threads x batch, not by the number of items. The first failing batch
+    in sorted order raises, and batches not yet started are cancelled.
     """
     order = np.argsort(rows, kind="stable")
     out = np.empty((len(items), len(TARGET_NAMES)))

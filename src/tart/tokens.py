@@ -5,12 +5,15 @@ A tokenized graph is a plain (R, C) float64 array. In "tart" mode it is
 duplicated, identifier [0,1,-1,-1]), then edge rows in lexicographic (u,v)
 order (constant feature 1.0, the two endpoint positional blocks, identifier
 [1,0,u,v]). The node-only "pure" variant is N x 5: the node rows without
-positional blocks, so it takes no d_p.
+positional blocks, so it takes no d_p. "tart" tokens are made a stack at a
+time: graphs of one node count share one Laplacian array, one eigensolver
+call and one row assembly (tokenize_lap), at most STACK_CAP graphs per stack.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -18,8 +21,10 @@ from . import spectral
 from .graphs import NUM_PRIMITIVES, ComputationalGraph, check_int
 
 DEFAULT_D_P = 3
+STACK_CAP = 256  # graphs per tokenize_lap call in tokenize_many
 MODES = ("tart", "pure")  # node+edge rows with positional features; node rows only
 IDENTIFIER_WIDTH = 4
+NODE_IDENTIFIER = np.array([0.0, 1.0, -1.0, -1.0])  # is_edge, is_node, u, v of every node row
 
 TOKEN_MAGIC = b"TART"
 TOKEN_FORMAT_VERSION = 1
@@ -40,30 +45,45 @@ class PaddedBatch:
     mask: np.ndarray    # B x R_max, True = real token
 
 
-def _node_rows(graph: ComputationalGraph, P: np.ndarray) -> np.ndarray:
+def _node_rows(ops: np.ndarray, P: np.ndarray) -> np.ndarray:
     """One row per node: op code / 15, the node's positional row twice, [0, 1, -1, -1]."""
     d_p = P.shape[1]
-    rows = np.zeros((graph.num_nodes, token_width(d_p)), dtype=np.float64)
-    rows[:, 0] = np.asarray(graph.node_ops) / NUM_PRIMITIVES
+    rows = np.empty((len(ops), token_width(d_p)), dtype=np.float64)  # every column is set
+    np.divide(ops, NUM_PRIMITIVES, out=rows[:, 0])
     rows[:, 1:1 + d_p] = P
     rows[:, 1 + d_p:1 + 2 * d_p] = P
-    rows[:, -4:] = (0.0, 1.0, -1.0, -1.0)
+    rows[:, -4:] = NODE_IDENTIFIER
     return rows
 
 
-def tokenize_lap(graph: ComputationalGraph, d_p: int) -> np.ndarray:
-    """Node+edge token matrix of a graph, with its own d_p Laplacian positional features."""
+def tokenize_lap(graphs, d_p: int):
+    """Node+edge token matrices with d_p Laplacian positional features: one matrix for
+    one graph, or a list in input order for a sequence of graphs of one node count,
+    which share one Laplacian stack and one eigensolver call."""
     d_p = check_int(d_p, "d_p", 0, TokenizerError)
+    one = isinstance(graphs, ComputationalGraph)
+    stack = [graphs] if one else list(graphs)
     # looked up on the module, so wrappers installed there (such as a tracer) see the calls
-    P = spectral.lap_features(spectral.build_normalized_laplacian(graph), d_p).P
-    pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
-    edges = np.zeros((len(pairs), token_width(d_p)), dtype=np.float64)
+    P = spectral.lap_features(spectral.build_normalized_laplacian(stack), d_p).P
+    b, n = P.shape[:2]
+    P = P.reshape(b * n, d_p)
+    nodes = _node_rows(np.fromiter(chain.from_iterable(g.node_ops for g in stack), np.intp), P)
+    # one sort over (graph, u, v): each graph's edges in lexicographic order, graph by graph
+    keys = spectral.edge_keys(stack, n)
+    keys.sort()
+    tail, v = np.divmod(keys, n)
+    u = tail % n  # tail = graph * n + u, the row of u in P and in nodes
+    edges = nodes[tail]  # u's positional block is already in place
     edges[:, 0] = 1.0
-    edges[:, 1:1 + d_p] = P[pairs[:, 0]]
-    edges[:, 1 + d_p:1 + 2 * d_p] = P[pairs[:, 1]]
+    edges[:, 1 + d_p:1 + 2 * d_p] = P[tail - u + v]
     edges[:, -4] = 1.0
-    edges[:, -2:] = pairs
-    return np.concatenate([_node_rows(graph, P), edges])
+    edges[:, -3] = 0.0
+    edges[:, -2] = u
+    edges[:, -1] = v
+    ends = accumulate(g.num_edges for g in stack)
+    out = [np.concatenate([nodes[i * n:(i + 1) * n], edges[end - g.num_edges:end]])
+           for i, (g, end) in enumerate(zip(stack, ends))]
+    return out[0] if one else out
 
 
 def decode_row_kinds(matrix: np.ndarray) -> tuple:
@@ -83,15 +103,8 @@ def decode_row_kinds(matrix: np.ndarray) -> tuple:
 
 
 def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int | None = None) -> np.ndarray:
-    """One-stop tokenization: 'tart' (d_p positional features, DEFAULT_D_P if None) or
-    'pure' (node rows only, so a d_p other than None or 0 raises)."""
-    if mode == "pure":
-        if d_p is not None and check_int(d_p, "d_p", 0, TokenizerError) != 0:
-            raise TokenizerError(f"pure tokens carry no positional features, got d_p={d_p}")
-        return _node_rows(graph, np.zeros((graph.num_nodes, 0)))
-    if mode == "tart":
-        return tokenize_lap(graph, DEFAULT_D_P if d_p is None else d_p)
-    raise TokenizerError(f"unknown tokenization mode: {mode!r}")
+    """The token matrix of one graph: tokenize_many of a one-graph list."""
+    return tokenize_many([graph], mode, d_p)[0]
 
 
 def token_rows(graph: ComputationalGraph, mode: str) -> int:
@@ -102,8 +115,27 @@ def token_rows(graph: ComputationalGraph, mode: str) -> int:
 
 
 def tokenize_many(graphs, mode: str, d_p: int | None = None) -> list:
-    """Tokenize a sequence of graphs, in input order, as tokenize_graph does."""
-    return [tokenize_graph(g, mode, d_p=d_p) for g in graphs]
+    """Token matrices of a sequence of graphs, in input order: 'tart' (d_p positional
+    features, DEFAULT_D_P if None) or 'pure' (node rows only, so a d_p other than None
+    or 0 raises). 'tart' tokenizes the graphs of one node count together, in one
+    tokenize_lap call per STACK_CAP of them, so a stack's arrays stay bounded."""
+    graphs = list(graphs)
+    if mode == "pure":
+        if d_p is not None and check_int(d_p, "d_p", 0, TokenizerError) != 0:
+            raise TokenizerError(f"pure tokens carry no positional features, got d_p={d_p}")
+        return [_node_rows(np.asarray(g.node_ops), np.zeros((g.num_nodes, 0))) for g in graphs]
+    if mode != "tart":
+        raise TokenizerError(f"unknown tokenization mode: {mode!r}")
+    d_p = DEFAULT_D_P if d_p is None else d_p  # tokenize_lap checks it
+    by_size = {}
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.num_nodes, []).append(i)
+    out = [None] * len(graphs)
+    for idx in by_size.values():
+        for part in (idx[start:start + STACK_CAP] for start in range(0, len(idx), STACK_CAP)):
+            for i, matrix in zip(part, tokenize_lap([graphs[i] for i in part], d_p)):
+                out[i] = matrix
+    return out
 
 
 def pad_batch(matrices, r_max: int) -> PaddedBatch:

@@ -51,6 +51,33 @@ def reference_sign_convention(vectors):
     return out
 
 
+def reference_laplacian(graph):
+    """Per-graph body of build_normalized_laplacian before it took stacks, kept as a
+    bitwise reference."""
+    pairs = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    a = np.zeros((graph.num_nodes, graph.num_nodes))
+    a[pairs.ravel(), pairs[:, ::-1].ravel()] = 1.0
+    degree = a.sum(axis=1)
+    inv_sqrt = np.zeros_like(degree)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+    lap = -inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    lap[nonzero, nonzero] += 1.0
+    return lap
+
+
+def reference_lap_features(lap, d_p):
+    """Per-matrix body of lap_features before it took stacks, kept as a bitwise reference:
+    (P, eigenvalues) of one matrix."""
+    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    chosen = np.flatnonzero(np.abs(eigenvalues) >= sp.TRIVIAL_EIGENVALUE_TOL)[:d_p]
+    p = np.zeros((lap.shape[0], d_p))
+    values = np.full(d_p, np.nan)
+    p[:, :chosen.size] = reference_sign_convention(eigenvectors[:, chosen])
+    values[:chosen.size] = eigenvalues[chosen]
+    return p, values
+
+
 @st.composite
 def dags_with_isolated_nodes(draw):
     """DAGs on up to 12 nodes, where edges join only the first `linked` nodes before
@@ -61,6 +88,22 @@ def dags_with_isolated_nodes(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     label = draw(st.permutations(range(n)))
     return gc.make_graph(n, [1] * n, [(label[u], label[v]) for u, v in chosen])
+
+
+@st.composite
+def same_size_dags(draw, max_graphs=8):
+    """One to max_graphs DAGs with one node count, as a stacked call takes them."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    graphs = []
+    for _ in range(draw(st.integers(1, max_graphs))):
+        order = draw(st.permutations(range(n)))
+        rank = {node: k for k, node in enumerate(order)}
+        # keep only pairs that go forward in a random order, so the graph is acyclic
+        forward = [(u, v) for u, v in pairs if rank[u] < rank[v]]
+        edges = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+        graphs.append(gc.make_graph(n, [1] * n, edges))
+    return graphs
 
 
 def path_graph(n):
@@ -103,6 +146,21 @@ class TestLaplacian:
             ref = -inv_sqrt[:, None] * a * inv_sqrt[None, :]
             ref[degree > 0, degree > 0] += 1.0
             assert sp.build_normalized_laplacian(g).tobytes() == ref.tobytes()
+
+    @given(graphs=same_size_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_matches_per_graph_reference(self, graphs):
+        stack = sp.build_normalized_laplacian(graphs)
+        assert stack.shape == (len(graphs),) + (graphs[0].num_nodes,) * 2
+        assert stack.tobytes() == np.stack([reference_laplacian(g) for g in graphs]).tobytes()
+        one = sp.build_normalized_laplacian(graphs[0])
+        assert one.tobytes() == reference_laplacian(graphs[0]).tobytes()
+
+    def test_mixed_node_counts_rejected(self):
+        with pytest.raises(ValueError, match=r"one node count, got \[2, 3\]"):
+            sp.build_normalized_laplacian([path_graph(2), path_graph(3), path_graph(2)])
+        with pytest.raises(ValueError, match="one node count"):
+            sp.build_normalized_laplacian([])
 
     def test_symmetric_spectrum_bounds(self):
         rng = np.random.default_rng(11)
@@ -222,6 +280,51 @@ class TestLapFeatures:
             else:
                 assert col.tobytes() == unsigned[:, j].tobytes()
         assert not np.signbit(feats.P[:, feats.is_padded]).any()
+
+    @given(graphs=same_size_dags(), d_p=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_matches_per_matrix_calls(self, graphs, d_p):
+        stack = sp.build_normalized_laplacian(graphs)
+        feats = sp.lap_features(stack, d_p)
+        assert feats.P.shape == stack.shape[:2] + (d_p,)
+        assert feats.eigenvalues.shape == (len(graphs), d_p)
+        for lap, p, values in zip(stack, feats.P, feats.eigenvalues, strict=True):
+            one = sp.lap_features(lap, d_p)
+            ref_p, ref_values = reference_lap_features(lap, d_p)
+            assert p.tobytes() == one.P.tobytes() == ref_p.tobytes()
+            assert values.tobytes() == one.eigenvalues.tobytes() == ref_values.tobytes()
+
+    def test_general_symmetric_stack_matches_per_matrix_calls(self):
+        # negative eigenvalues put the trivial ones mid-spectrum; leading axes may be several
+        rng = np.random.default_rng(41)
+        m = rng.normal(size=(2, 3, 5, 5))
+        m = m + m.swapaxes(-1, -2)
+        values, vectors = np.linalg.eigh(m)
+        kept = np.where(np.abs(values) < 1.0, 0.0, values)
+        m = (vectors * kept[..., None, :]) @ vectors.swapaxes(-1, -2)
+        m = (m + m.swapaxes(-1, -2)) / 2
+        feats = sp.lap_features(m, 4)
+        assert feats.P.shape == (2, 3, 5, 4) and feats.eigenvalues.shape == (2, 3, 4)
+        for index in np.ndindex(2, 3):
+            ref_p, ref_values = reference_lap_features(m[index], 4)
+            assert feats.P[index].tobytes() == ref_p.tobytes()
+            assert feats.eigenvalues[index].tobytes() == ref_values.tobytes()
+
+    @pytest.mark.parametrize("fault,message", [("asymmetric", "not symmetric"),
+                                               ("nan", "non-finite"), ("inf", "non-finite")])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_bad_slice_anywhere_in_stack_rejected(self, fault, message, where):
+        stack = sp.build_normalized_laplacian([path_graph(4)] * 5)
+        stack[where, 1, 2] = {"asymmetric": 0.5, "nan": np.nan, "inf": np.inf}[fault]
+        with pytest.raises(ValueError, match=message):
+            sp.lap_features(stack, 2)
+        with pytest.raises(ValueError, match=message):
+            sp.lap_features(stack[where], 2)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2), (0, 0), (2, 0, 0)])
+    def test_non_square_or_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty square matrices"):
+            sp.lap_features(np.zeros(shape), 2)
 
     @pytest.mark.parametrize("matrix", [np.array([[0.0, 1.0], [0.5, 0.0]]),
                                         np.full((3, 3), np.nan), np.full((3, 3), np.inf)],

@@ -6,6 +6,43 @@ from tart import graphs as gc
 from tart import spectral as sp
 from tart import tokens as tk
 from tests.test_graphs import random_valid_graph
+from tests.test_spectral import (dags_with_isolated_nodes, reference_lap_features,
+                                 reference_laplacian)
+
+
+def reference_tokenize_lap(graph, d_p):
+    """Per-graph body of tokenize_lap before it took stacks, on the per-graph spectral
+    references, kept as a bitwise reference."""
+    P, _ = reference_lap_features(reference_laplacian(graph), d_p)
+    pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    edges = np.zeros((len(pairs), tk.token_width(d_p)), dtype=np.float64)
+    edges[:, 0] = 1.0
+    edges[:, 1:1 + d_p] = P[pairs[:, 0]]
+    edges[:, 1 + d_p:1 + 2 * d_p] = P[pairs[:, 1]]
+    edges[:, -4] = 1.0
+    edges[:, -2:] = pairs
+    nodes = np.zeros((graph.num_nodes, tk.token_width(d_p)), dtype=np.float64)
+    nodes[:, 0] = np.asarray(graph.node_ops) / gc.NUM_PRIMITIVES
+    nodes[:, 1:1 + d_p] = P
+    nodes[:, 1 + d_p:1 + 2 * d_p] = P
+    nodes[:, -4:] = (0.0, 1.0, -1.0, -1.0)
+    return np.concatenate([nodes, edges])
+
+
+def assert_same_bits(matrix, reference):
+    assert matrix.dtype == reference.dtype and matrix.shape == reference.shape
+    assert matrix.tobytes() == reference.tobytes()
+    assert np.array_equal(np.signbit(matrix), np.signbit(reference))
+
+
+@st.composite
+def mixed_graphs(draw):
+    """A graph with any ops: one node, no edges, isolated nodes, or up to 12 nodes."""
+    g = draw(st.one_of(dags_with_isolated_nodes(),
+                       st.integers(1, 12).map(lambda n: gc.make_graph(n, [1] * n, []))))
+    ops = draw(st.lists(st.integers(1, gc.NUM_PRIMITIVES),
+                        min_size=g.num_nodes, max_size=g.num_nodes))
+    return gc.make_graph(g.num_nodes, ops, g.edges)
 
 
 def lap_features(g, d_p=3):
@@ -77,6 +114,56 @@ class TestLapLayout:
             tm = lap_tokens(g, d_p=d_p)
             assert tm.shape[1] == 1 + 2 * d_p + 4
             assert len(tm) == g.num_nodes + g.num_edges
+
+
+class TestStackedTokenizer:
+    @given(graphs=st.lists(mixed_graphs(), min_size=1, max_size=30), d_p=st.integers(0, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_batch_matches_per_graph_reference(self, graphs, d_p):
+        # d_p up to 14 exceeds every graph's non-trivial eigenpairs (at most 11 here)
+        mats = tk.tokenize_many(graphs, "tart", d_p=d_p)
+        assert len(mats) == len(graphs)
+        for g, m in zip(graphs, mats, strict=True):
+            assert_same_bits(m, reference_tokenize_lap(g, d_p))
+        assert_same_bits(tk.tokenize_lap(graphs[0], d_p), reference_tokenize_lap(graphs[0], d_p))
+        assert_same_bits(tk.tokenize_graph(graphs[-1], "tart", d_p=d_p),
+                         reference_tokenize_lap(graphs[-1], d_p))
+
+    def test_tokenize_lap_on_a_stack_keeps_input_order(self):
+        graphs = [gc.make_graph(4, [1, 2, 3, 4], edges)
+                  for edges in ([(0, 1), (2, 3)], [], [(3, 0), (0, 1), (1, 2)], [(2, 1)])]
+        mats = tk.tokenize_lap(graphs, 2)
+        assert isinstance(mats, list) and len(mats) == 4
+        for g, m in zip(graphs, mats, strict=True):
+            assert_same_bits(m, reference_tokenize_lap(g, 2))
+
+    def test_tokenize_lap_rejects_mixed_node_counts(self):
+        with pytest.raises(ValueError, match="one node count"):
+            tk.tokenize_lap([gc.make_graph(2, [1, 2], [(0, 1)]), gc.make_graph(3, [1] * 3, [])], 3)
+
+    def test_stacks_stay_within_the_cap(self, monkeypatch):
+        # whole splits and files arrive in one call; no stack may outgrow STACK_CAP
+        shapes = []
+        original = sp.lap_features
+
+        def recording(lap, d_p):
+            shapes.append(lap.shape)
+            return original(lap, d_p)
+
+        monkeypatch.setattr(sp, "lap_features", recording)
+        rng = np.random.default_rng(8)
+        graphs = [random_valid_graph(rng, max_nodes=6) for _ in range(80)]
+        graphs += [gc.make_graph(6, rng.integers(1, 16, size=6),
+                                 [(i, j) for i in range(6) for j in range(i + 1, 6)
+                                  if rng.random() < 0.4]) for _ in range(600)]
+        order = rng.permutation(len(graphs))
+        graphs = [graphs[i] for i in order]
+        mats = tk.tokenize_many(graphs, "tart")
+        # the 600-odd six-node graphs fill whole stacks; every graph is in exactly one
+        assert max(shape[0] for shape in shapes) == tk.STACK_CAP
+        assert sum(shape[0] for shape in shapes) == len(graphs)
+        for g, m in zip(graphs, mats, strict=True):
+            assert_same_bits(m, reference_tokenize_lap(g, tk.DEFAULT_D_P))
 
 
 class TestNodeOnly:
