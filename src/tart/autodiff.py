@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Just enough ops for a transformer encoder: linear maps, batched matmul,
-layer norm, masked softmax, GELU, dropout, concatenation and unstacking,
-row gather and scatter between packed and padded layouts, mean pooling over
-packed rows, and the elementwise arithmetic needed for losses. Each op
-records vector-Jacobian closures; backward() walks the tape in reverse
-topological order. Inside no_tape() a thread records nothing, so an eval
-forward frees each intermediate as soon as the next op has read it.
+Just enough ops for a transformer encoder: linear maps, batched matmul, layer
+norm, masked softmax, GELU in its tanh form (arXiv:1606.08415), dropout,
+concatenation and unstacking, row gather and scatter between packed and padded
+layouts, mean pooling over packed rows, and the elementwise arithmetic needed
+for losses. Each op records vector-Jacobian closures; backward() walks the
+tape in reverse topological order. Inside no_tape() a thread records nothing,
+so an eval forward frees each intermediate as soon as the next op has read it.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import ctypes
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 
 def _keep_freed_memory() -> None:
@@ -45,8 +44,8 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_GELU_A = np.sqrt(2.0 / np.pi)  # gelu(x) = 0.5 x (1 + tanh(a x + b x^3))
+_GELU_B = 0.044715 * _GELU_A
 LAYER_NORM_EPS = 1e-5
 
 
@@ -178,23 +177,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    cdf = x.value * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    gate = np.square(x.value)
+    gate *= _GELU_B
+    gate += _GELU_A
+    gate *= x.value
+    np.tanh(gate, out=gate)
+    gate += 1.0
+    gate *= 0.5
 
     def vjp(g):
-        # g * (cdf + x * pdf), the derivative built only when a backward sweep asks for it
+        # g * (gate + 2u' x gate (1 - gate)), u' = a + 3 b x^2; 2u' is 6b x^2 + 2a exactly
         out = np.square(x.value)
-        out *= -0.5
-        np.exp(out, out=out)
-        out *= _INV_SQRT2PI
+        out *= 6.0 * _GELU_B
+        out += 2.0 * _GELU_A
         out *= x.value
-        out += cdf
+        out *= gate
+        out *= 1.0 - gate
+        out += gate
         out *= g
         return out
 
-    return Tensor(x.value * cdf, ((x, vjp),))
+    return Tensor(x.value * gate, ((x, vjp),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

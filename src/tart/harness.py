@@ -151,7 +151,7 @@ def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
     before it runs, and the batch is padded to its own longest matrix. The
     batches run on up to one thread per usable CPU, each batch exactly as it
     would run alone, so the output does not depend on the thread count. The
-    encoder's numpy, BLAS and erf calls release the GIL; about 60% of
+    encoder's numpy and BLAS calls release the GIL; about 60% of
     tokenization, its Python and small numpy calls, holds it (see README).
     One batch or one CPU runs inline and starts no thread. Memory is bounded
     by threads x batch, not by the number of items. The first failing batch

@@ -1,16 +1,16 @@
 """Transformer-encoder regressor: config, forward pass, loss, Adam, checkpoints.
 
-Pre-layer-norm encoder blocks (masked multi-head self-attention + GELU
-feed-forward, both residual), mean pooling over real tokens, and a single
-linear head mapping to the four performance targets. The encoder runs on
-packed rows: a batch's real token rows are gathered into one (T, ·) array,
-so projections, layer norms, the feed-forward net, residual adds and
-pooling never touch padding. Attention's score, softmax and context
-matmuls run on block-diagonal rows: the batch's samples are packed,
-first-fit decreasing, into as few rows of the longest sample's length as
-they fit, and a boolean block-diagonal mask lets each query see only its own
-sample's keys (Krell et al., arXiv:2107.02027); the softmax exponentiates
-only the pairs it lets through.
+Pre-layer-norm encoder blocks (masked multi-head self-attention +
+feed-forward with the tanh form of GELU, both residual), mean pooling over
+real tokens, and a single linear head mapping to the four performance
+targets. The encoder runs on packed rows: a batch's real token rows are
+gathered into one (T, ·) array, so projections, layer norms, the
+feed-forward net, residual adds and pooling never touch padding. Attention's
+score, softmax and context matmuls run on block-diagonal rows: the batch's
+samples are packed, first-fit decreasing, into as few rows of the longest
+sample's length as they fit, and a boolean block-diagonal mask lets each
+query see only its own sample's keys (Krell et al., arXiv:2107.02027); the
+softmax exponentiates only the pairs it lets through.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .graphs import TARGET_NAMES, check_float, check_int
 from .tokens import DEFAULT_D_P, MODES, token_width
 
 MODEL_MAGIC = b"TARTMDL"
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -56,13 +56,11 @@ def _node_rows(ops: np.ndarray, P: np.ndarray) -> np.ndarray:
     return rows
 
 
-def tokenize_lap(graphs, d_p: int):
-    """Node+edge token matrices with d_p Laplacian positional features: one matrix for
-    one graph, or a list in input order for a sequence of graphs of one node count,
-    which share one Laplacian stack and one eigensolver call."""
+def tokenize_lap(graphs, d_p: int) -> list:
+    """Node+edge token matrices with d_p Laplacian positional features, in input order, of
+    a sequence of graphs of one node count: one Laplacian stack, one eigensolver call."""
     d_p = check_int(d_p, "d_p", 0, TokenizerError)
-    one = isinstance(graphs, ComputationalGraph)
-    stack = [graphs] if one else list(graphs)
+    stack = list(graphs)
     # looked up on the module, so wrappers installed there (such as a tracer) see the calls
     P = spectral.lap_features(spectral.build_normalized_laplacian(stack), d_p).P
     b, n = P.shape[:2]
@@ -81,9 +79,8 @@ def tokenize_lap(graphs, d_p: int):
     edges[:, -2] = u
     edges[:, -1] = v
     ends = accumulate(g.num_edges for g in stack)
-    out = [np.concatenate([nodes[i * n:(i + 1) * n], edges[end - g.num_edges:end]])
-           for i, (g, end) in enumerate(zip(stack, ends))]
-    return out[0] if one else out
+    return [np.concatenate([nodes[i * n:(i + 1) * n], edges[end - g.num_edges:end]])
+            for i, (g, end) in enumerate(zip(stack, ends))]
 
 
 def decode_row_kinds(matrix: np.ndarray) -> tuple:

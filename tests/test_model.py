@@ -1,12 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
 
 import tart
 from tart import autodiff as ad
@@ -172,9 +174,11 @@ class TestKernelsMatchReference:
 
     @staticmethod
     def gelu_reference(x, g):
-        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
-        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x ** 2)
-        return x * cdf, g * (cdf + x * pdf)
+        a = np.sqrt(2.0 / np.pi)
+        b = 0.044715 * a
+        gate = 0.5 * (1.0 + np.tanh(x * (a + b * x ** 2)))  # tanh(a x + b x^3)
+        du = a + 3 * b * x ** 2
+        return x * gate, g * (gate + 2.0 * du * x * gate * (1.0 - gate))
 
     @staticmethod
     def layer_norm_reference(x, gain, bias, g):
@@ -271,6 +275,18 @@ class TestKernelsMatchReference:
             reference_step(values, grads, m, v, t, lr=1e-2)
         for name, param in model.params.items():
             assert np.array_equal(param.value, values[name])
+
+
+def test_import_loads_no_scipy():
+    # the package and its command run on numpy alone; scipy is a test dependency
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, tart, tart.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestGradientFidelity:
@@ -713,7 +729,7 @@ class TestCheckpoint:
 
     # version 1 predates the tokenizer fields, so its mode cannot be known; version 2's
     # header names the deleted pooling and n_targets fields; version 3 carries per-tensor
-    # name, rank and dims records
+    # name, rank and dims records (version 4 is the committed file below)
     @pytest.mark.parametrize("version", [99, 1, 2, 3])
     def test_version_mismatch(self, tmp_path, version):
         model = md.init_model(tiny_config(), seed=1)
@@ -725,13 +741,11 @@ class TestCheckpoint:
         with pytest.raises(md.VersionMismatch):
             md.load_model(path)
 
-    def test_committed_tart_v4_file_loads(self):
-        # written before pure rows lost their positional columns; the tart layout is unchanged
-        loaded = md.load_model(TART_V4_CHECKPOINT)
-        fresh = md.init_model(tiny_config(n_layer=1, d_model=4, d_ff=4), seed=1)
-        assert loaded.config == fresh.config
-        for name, param in fresh.params.items():
-            assert np.array_equal(loaded.params[name].value, param.value)
+    def test_committed_tart_v4_file_rejected(self):
+        # version 4 predicts with the erf form of GELU; its weights would load under the
+        # tanh form and predict something else
+        with pytest.raises(md.VersionMismatch, match="checkpoint version 4, expected 5"):
+            md.load_model(TART_V4_CHECKPOINT)
 
     def test_pure_checkpoint_with_nonzero_d_p_header_loads(self, tmp_path):
         # a pure checkpoint written before pure configs set d_p to 0 names the d_p it was given

@@ -50,7 +50,7 @@ def lap_features(g, d_p=3):
 
 
 def lap_tokens(g, d_p=3):
-    return tk.tokenize_lap(g, d_p)
+    return tk.tokenize_graph(g, "tart", d_p)
 
 
 def graph_row_kinds(g):
@@ -95,7 +95,7 @@ class TestLapLayout:
         for _ in range(20):
             g = random_valid_graph(rng)
             feats = lap_features(g)
-            tm = tk.tokenize_lap(g, 3)
+            tm = tk.tokenize_graph(g, "tart", 3)
             for row, (u, v) in zip(tm[g.num_nodes:], sorted(g.edges), strict=True):
                 assert np.array_equal(row[1:4], feats.P[u])
                 assert np.array_equal(row[4:7], feats.P[v])
@@ -125,7 +125,8 @@ class TestStackedTokenizer:
         assert len(mats) == len(graphs)
         for g, m in zip(graphs, mats, strict=True):
             assert_same_bits(m, reference_tokenize_lap(g, d_p))
-        assert_same_bits(tk.tokenize_lap(graphs[0], d_p), reference_tokenize_lap(graphs[0], d_p))
+        assert_same_bits(tk.tokenize_lap([graphs[0]], d_p)[0],
+                         reference_tokenize_lap(graphs[0], d_p))
         assert_same_bits(tk.tokenize_graph(graphs[-1], "tart", d_p=d_p),
                          reference_tokenize_lap(graphs[-1], d_p))
 
@@ -212,7 +213,7 @@ def test_ignored_or_bad_d_p_rejected(mode, d_p):
         tk.tokenize_many([g], mode, d_p=d_p)
     if mode == "tart":
         with pytest.raises(tk.TokenizerError, match="d_p"):
-            tk.tokenize_lap(g, d_p)
+            tk.tokenize_lap([g], d_p)
 
 
 @pytest.mark.parametrize("count_rows", [tk.token_rows, tk.tokenize_graph])
