@@ -203,8 +203,7 @@ def main(argv=None) -> int:
     except StatsDegenerate as exc:
         print(f"error: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (gc.InvalidSpec, gc.ParseError, gc.ValidationError, ConfigError,
-            HarnessError) as exc:
+    except (gc.InvalidSpec, gc.ParseError, ConfigError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, gc.GraphError, ModelError, tk.TokenizerError, ValueError) as exc:

@@ -4,7 +4,8 @@ A computational graph is a DAG whose nodes carry one of 15 operator
 primitive codes and whose edges describe forward activation flow. A graph
 is checked when it is built, `dataclasses.replace` copies included, so
 every instance is valid and carries its own topological order.
-Datasets are stored as JSONL, one labeled graph per line.
+Datasets are stored as JSONL, one labeled graph per line; read_dataset raises
+ParseError for any faulty line, naming the line and, once parsed, the record id.
 """
 from __future__ import annotations
 
@@ -28,13 +29,6 @@ class ParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-class ValidationError(GraphError):
-    def __init__(self, record_id: str, cause: GraphError):
-        self.record_id = record_id
-        self.cause = cause
-        super().__init__(f"record {record_id!r}: {cause}")
 
 
 class InvalidSpec(GraphError):
@@ -202,30 +196,23 @@ def _json_number(value, what: str) -> float:
 
 
 def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
+    where = "malformed record"
     try:
         rec_id = d["id"]
         if not isinstance(rec_id, str):
             raise TypeError(f"id must be a string, got {rec_id!r}")
-        num_nodes = _as_int(d["num_nodes"], "num_nodes")
-        node_ops = tuple(_as_int(c, "op code") for c in d["node_ops"])
-        edges = tuple((_as_int(u, "edge endpoint"), _as_int(v, "edge endpoint"))
-                      for u, v in d["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(line_no, f"malformed record: {exc}") from exc
-    try:
-        graph = ComputationalGraph(num_nodes, node_ops, edges)
-    except GraphError as exc:
-        raise ValidationError(rec_id, exc) from exc
-    targets = None
-    if "targets" in d:
-        try:
-            t = d["targets"]
-            targets = PerformanceRecord(**{name: _json_number(t[name], name)
+        where = f"record {rec_id!r}"
+        graph = ComputationalGraph(d["num_nodes"], d["node_ops"], d["edges"])
+        targets = None
+        if "targets" in d:
+            where = f"record {rec_id!r}: malformed targets"
+            targets = PerformanceRecord(**{name: _json_number(d["targets"][name], name)
                                            for name in TARGET_NAMES})
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(line_no, f"malformed targets: {exc}") from exc
-        if not np.all(np.isfinite(targets.as_array())):
-            raise ValidationError(rec_id, InvalidSpec("non-finite target value"))
+            if not np.all(np.isfinite(targets.as_array())):
+                raise InvalidSpec("non-finite target value")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(line_no, f"{where}: {fault}") from exc
     return LabeledGraph(graph=graph, targets=targets, id=rec_id)
 
 
@@ -236,8 +223,9 @@ def write_dataset(records: Sequence[LabeledGraph], path) -> None:
 
 
 def read_dataset(path) -> list:
+    """The labeled graphs of a JSONL file; any faulty line raises ParseError(line_no)."""
     records = []
-    ids = set()
+    first_line = {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -249,9 +237,9 @@ def read_dataset(path) -> list:
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
             rec = _record_from_dict(d, line_no)
-            if rec.id in ids:
-                raise ValidationError(rec.id, InvalidSpec("duplicate id in dataset"))
-            ids.add(rec.id)
+            first = first_line.setdefault(rec.id, line_no)
+            if first != line_no:
+                raise ParseError(line_no, f"record {rec.id!r}: duplicate id, first on line {first}")
             records.append(rec)
     return records
 

@@ -161,6 +161,38 @@ class TestTokenize:
         assert "reduction ratio" in stdout
 
 
+GOOD_LINE = '{"id": "g0", "num_nodes": 2, "node_ops": [1, 4], "edges": [[0, 1]]}'
+# a faulty second line of each kind the dataset reader rejects
+FAULTY_LINES = {
+    "missing-field": '{"id": "bad", "node_ops": [1, 4], "edges": []}',
+    "wrong-type": '{"id": "bad", "num_nodes": 2.5, "node_ops": [1, 4], "edges": []}',
+    "cycle": '{"id": "bad", "num_nodes": 2, "node_ops": [1, 4], "edges": [[0, 1], [1, 0]]}',
+    "edge-out-of-range": '{"id": "bad", "num_nodes": 2, "node_ops": [1, 4], "edges": [[0, 2]]}',
+    "nan-target": '{"id": "bad", "num_nodes": 1, "node_ops": [3], "edges": [], "targets": '
+                  '{"clean_acc": NaN, "noisy_acc": 0, "inference_speed": 0, '
+                  '"convergence_speed": 0}}',
+    "duplicate-id": GOOD_LINE,
+}
+
+
+@pytest.mark.parametrize("command", ["tokenize", "eval"])
+@pytest.mark.parametrize("kind", FAULTY_LINES)
+def test_faulty_record_exit_2_names_its_line_and_id(command, kind, tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    data.write_text(GOOD_LINE + "\n" + FAULTY_LINES[kind] + "\n")
+    if command == "tokenize":
+        argv = ["tokenize", "--in", str(data), "--out", str(tmp_path / "t.bin")]
+    else:
+        ckpt = tmp_path / "m.ckpt"
+        md.save_model(md.init_model(md.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16),
+                                    seed=0), ckpt)
+        argv = ["eval", "--model", str(ckpt), "--data", str(data)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
+    assert ("'g0'" if kind == "duplicate-id" else "'bad'") in err
+
+
 class TestTrain:
     def test_history_csv_one_epoch(self, dataset, config_file, tmp_path, capsys):
         hist = tmp_path / "h.csv"
@@ -360,7 +392,8 @@ class TestEvalAndCompare:
     # 11-wide input_proj that pure checkpoints had before their rows were 5 wide
     @pytest.mark.parametrize("version,header",
                              [(3, {}), (md.MODEL_FORMAT_VERSION, {"n_layer": 1.0}),
-                              (md.MODEL_FORMAT_VERSION, {"mode": "pure"})])
+                              (md.MODEL_FORMAT_VERSION, {"mode": "pure"})],
+                             ids=["version-3", "float-n_layer", "pure-header-over-tart-rows"])
     def test_eval_bad_checkpoint_exit_1(self, version, header, dataset, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         md.save_model(md.init_model(md.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16),
@@ -432,33 +465,38 @@ class TestEvalAndCompare:
         assert csv_env.read_bytes() == csv_flag.read_bytes()
 
 
-# every exception class the package defines, and the exit code the CLI gives it
+# every exception class the package defines, by name, and the exit code the CLI gives it;
+# keyed by name so that a class added or deleted fails one test, not the module's collection
 EXIT_CODES = {
-    gc.GraphError: 1, gc.InvalidSpec: 2, gc.ParseError: 2, gc.ValidationError: 2,
-    tk.TokenizerError: 1, md.ModelError: 1, md.StatsDegenerate: 3, md.VersionMismatch: 1,
-    md.CorruptFile: 1, hn.HarnessError: 2, config.ConfigError: 2,
+    "GraphError": 1, "InvalidSpec": 2, "ParseError": 2, "TokenizerError": 1, "ModelError": 1,
+    "StatsDegenerate": 3, "VersionMismatch": 1, "CorruptFile": 1, "HarnessError": 2,
+    "ConfigError": 2,
 }
 # constructor arguments of the classes that take more than a message
-ERROR_ARGS = {gc.ParseError: (3, "bad value"), gc.ValidationError: ("r1", gc.InvalidSpec("x"))}
+ERROR_ARGS = {"ParseError": (3, "bad value")}
+
+
+def error_classes():
+    """Every exception class defined in a tart module, by name."""
+    return {cls.__name__: cls for module in (gc, tk, md, hn, config)
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__}
 
 
 class TestExitCodes:
     def test_every_error_class_has_an_exit_code(self):
-        defined = {cls for module in (gc, tk, md, hn, config)
-                   for _, cls in inspect.getmembers(module, inspect.isclass)
-                   if issubclass(cls, Exception) and cls.__module__ == module.__name__}
-        assert defined == set(EXIT_CODES)
+        assert set(error_classes()) == set(EXIT_CODES)
 
-    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda cls: cls.__name__)
-    def test_error_exit_code(self, error, capsys, monkeypatch):
-        exc = error(*ERROR_ARGS.get(error, ("bad value",)))
+    @pytest.mark.parametrize("name", EXIT_CODES)
+    def test_error_exit_code(self, name, capsys, monkeypatch):
+        exc = error_classes()[name](*ERROR_ARGS.get(name, ("bad value",)))
 
         def fail(args):
             raise exc
 
         monkeypatch.setattr(cli, "cmd_eval", fail)
         code, stdout, err = run(capsys, "eval", "--model", "m.ckpt", "--data", "d.jsonl")
-        assert code == EXIT_CODES[error]
+        assert code == EXIT_CODES[name]
         assert stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and err.endswith(f"{exc}\n")

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -193,19 +194,24 @@ class TestDatasetIO:
 
     def test_cyclic_record_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text('{"id": "c", "num_nodes": 2, "node_ops": [1, 1], '
+        path.write_text('{"id": "a", "num_nodes": 1, "node_ops": [3], "edges": []}\n'
+                        '{"id": "c", "num_nodes": 2, "node_ops": [1, 1], '
                         '"edges": [[0, 1], [1, 0]]}\n')
-        with pytest.raises(gc.ValidationError) as exc:
+        with pytest.raises(gc.ParseError) as exc:
             gc.read_dataset(path)
-        assert isinstance(exc.value.cause, gc.InvalidSpec)
-        assert "cycle" in str(exc.value.cause)
+        assert exc.value.line_no == 2 and "'c'" in str(exc.value)
+        assert isinstance(exc.value.__cause__, gc.InvalidSpec)
+        assert "cycle" in str(exc.value.__cause__)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         line = '{"id": "a", "num_nodes": 1, "node_ops": [3], "edges": []}\n'
-        path.write_text(line + line)
-        with pytest.raises(gc.ValidationError):
+        path.write_text(line + line.replace('"a"', '"b"') + line)
+        with pytest.raises(gc.ParseError) as exc:
             gc.read_dataset(path)
+        assert exc.value.line_no == 3
+        # the message names the id and the line it first appeared on
+        assert "'a'" in str(exc.value) and "line 1" in str(exc.value)
 
 
 GOOD_RECORD = {"id": "a", "num_nodes": 3, "node_ops": [3, 4, 1], "edges": [[0, 1], [1, 2]],
@@ -256,13 +262,20 @@ class TestRecordTypes:
         (("targets", "clean_acc"), True), (("targets", "noisy_acc"), "0.4"),
         (("targets", "clean_acc"), None), (("targets", "clean_acc"), 10 ** 400),
         (("id",), 7), (("id",), ["a"]),
+        # NaN, Infinity and -Infinity are not JSON numbers, though the json module reads them
+        (("targets", "noisy_acc"), math.nan), (("targets", "noisy_acc"), math.inf),
+        (("targets", "noisy_acc"), -math.inf),
     ], ids=["num_nodes=2.7", "num_nodes=3.0", "num_nodes=true", "op=4.9", "op='3'",
             "edge=[1,2.5]", "edge=[0,1.5]", "edge=[false,true]", "clean_acc=true",
-            "noisy_acc='0.4'", "clean_acc=null", "clean_acc=10**400", "id=7", "id=['a']"])
+            "noisy_acc='0.4'", "clean_acc=null", "clean_acc=10**400", "id=7", "id=['a']",
+            "noisy_acc=NaN", "noisy_acc=Infinity", "noisy_acc=-Infinity"])
     def test_wrong_type_is_a_parse_error(self, tmp_path, path, value):
+        # the bad record follows a good one, and the error names its line and, if it parsed, its id
         with pytest.raises(gc.ParseError) as exc:
-            read_lines(tmp_path, [json.dumps(with_field(path, value))])
-        assert exc.value.line_no == 1
+            read_lines(tmp_path, [json.dumps(with_field(("id",), "g0")),
+                                  json.dumps(with_field(path, value))])
+        assert exc.value.line_no == 2
+        assert path == ("id",) or "'a'" in str(exc.value)
 
     @given(field=st.sampled_from(INTEGER_FIELDS),
            value=JSON_VALUES.filter(lambda v: type(v) is not int))
@@ -287,10 +300,10 @@ class TestRecordTypes:
         min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_any_line_reads_or_fails_as_bad_input(self, tmp_path_factory, lines):
-        # ParseError and ValidationError are the reader's two documented failures (CLI exit 2)
+        # ParseError is the reader's one documented failure (CLI exit 2)
         try:
             read_lines(tmp_path_factory.mktemp("d"), lines)
-        except (gc.ParseError, gc.ValidationError):
+        except gc.ParseError:
             pass
 
 
