@@ -261,12 +261,13 @@ def softmax_masked(scores: Tensor, mask) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
-    """Inverted dropout with a caller-supplied generator (train mode only).
+    """Inverted dropout with a caller-supplied generator; with no generator
+    (rng None: eval mode, or no dropout) x is returned unchanged.
 
     Only the entries selected by `where` (broadcastable to x) draw from rng,
     in row-major order; every other entry is zeroed.
     """
-    if p <= 0.0:
+    if rng is None:
         return x
     where = np.broadcast_to(where, x.value.shape)
     keep = np.zeros(x.value.shape)

@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except (gc.InvalidSpec, gc.ParseError, ConfigError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, gc.GraphError, ModelError, tk.TokenizerError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -188,16 +188,11 @@ def _record_to_dict(rec: LabeledGraph) -> dict:
     return d
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; a bool or string is an error, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
+def _record_from_dict(d, line_no: int) -> LabeledGraph:
     where = "malformed record"
     try:
+        if not isinstance(d, dict):
+            raise TypeError(f"a record must be a JSON object, got {type(d).__name__}")
         rec_id = d["id"]
         if not isinstance(rec_id, str):
             raise TypeError(f"id must be a string, got {rec_id!r}")
@@ -206,11 +201,12 @@ def _record_from_dict(d: dict, line_no: int) -> LabeledGraph:
         targets = None
         if "targets" in d:
             where = f"record {rec_id!r}: malformed targets"
-            targets = PerformanceRecord(**{name: _json_number(d["targets"][name], name)
+            fields = d["targets"]
+            if not isinstance(fields, dict):
+                raise TypeError(f"targets must be a JSON object, got {type(fields).__name__}")
+            targets = PerformanceRecord(**{name: check_float(fields[name], name, "(-inf, inf)")
                                            for name in TARGET_NAMES})
-            if not np.all(np.isfinite(targets.as_array())):
-                raise InvalidSpec("non-finite target value")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ParseError(line_no, f"{where}: {fault}") from exc
     return LabeledGraph(graph=graph, targets=targets, id=rec_id)

@@ -212,7 +212,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
 
     train_mats = tokenize_many([r.graph for r in split.train], cfg.model.mode, d_p=cfg.model.d_p)
     train_targets = _targets_matrix(split.train)
-    target_stats = compute_target_stats(train_targets)
+    mean, std = compute_target_stats(train_targets)
+    train_z = (train_targets - mean) / std
 
     model = init_model(cfg.model, seed=cfg.seed)
     state = adam_init(model)
@@ -233,9 +234,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             idx = perm[start:start + cfg.batch_size]
             mats = [train_mats[i] for i in idx]
             batch = pad_batch(mats, max(len(m) for m in mats))
-            loss, grads = backward_pass(
-                model, batch.tokens, batch.mask, train_targets[idx], target_stats,
-                dropout_seed=cfg.seed * 1_000_003 + step)
+            loss, grads = backward_pass(model, batch.tokens, batch.mask, train_z[idx],
+                                        dropout_seed=cfg.seed * 1_000_003 + step)
             adam_step(model, grads, state, lr=cfg.lr)
             losses.append(loss)
             step += 1

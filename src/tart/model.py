@@ -178,8 +178,7 @@ def _attention(x: Tensor, slots, attend, pairs: np.ndarray, p: dict,
     q, k, v = ad.unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, h, dh)), (2, 0, 3, 1, 4)))
 
     probs = ad.softmax_masked(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), attend)
-    if drop_rng is not None:
-        probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
+    probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
     if slots is not None:
         ctx = ad.gather_rows(ctx, slots)
@@ -229,16 +228,12 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
         attn = _attention(normed, slots, attend, pairs, p, f"layer{i}.attn", cfg, drop_rng)
-        if drop_rng is not None:
-            attn = ad.dropout(attn, cfg.dropout_p, drop_rng)
-        x = ad.add(x, attn)
+        x = ad.add(x, ad.dropout(attn, cfg.dropout_p, drop_rng))
 
         normed = ad.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
         hidden = ad.gelu(ad.linear(normed, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"]))
         out = ad.linear(hidden, p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"])
-        if drop_rng is not None:
-            out = ad.dropout(out, cfg.dropout_p, drop_rng)
-        x = ad.add(x, out)
+        x = ad.add(x, ad.dropout(out, cfg.dropout_p, drop_rng))
 
         if not np.all(np.isfinite(x.value)):
             raise ModelError(f"non-finite activation after layer{i}")
@@ -259,30 +254,23 @@ def compute_target_stats(targets: np.ndarray):
     return mean, std
 
 
-def loss_mse(preds: Tensor, targets: np.ndarray, target_stats) -> Tensor:
-    """Mean squared error against z-scored targets (stats from the train split)."""
-    mean, std = target_stats
-    for j, s in enumerate(np.atleast_1d(std)):
-        if s == 0.0:
-            raise StatsDegenerate(f"target column {j} has zero standard deviation")
-    z = (targets - mean) / std
+def loss_mse(preds: Tensor, z: np.ndarray) -> Tensor:
+    """Mean squared error against targets already z-scored with the train split's stats."""
     if preds.shape != z.shape:
         raise ModelError(f"predictions {preds.shape} vs targets {z.shape}")
     return ad.mean_all(ad.square(ad.sub(preds, ad.Tensor(z))))
 
 
 def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
-                  targets: np.ndarray, target_stats, dropout_seed: int = 0):
-    """Train-mode forward (dropout drawn from dropout_seed) + loss + reverse sweep;
-    returns (loss value, grads by name)."""
+                  z: np.ndarray, *, dropout_seed: int = 0):
+    """Train-mode forward (dropout drawn from dropout_seed) + loss against the
+    z-scored targets z + reverse sweep; returns (loss value, grads by name)."""
     preds = encoder_forward(model, tokens, mask, train=True, dropout_seed=dropout_seed)
-    loss = loss_mse(preds, targets, target_stats)
+    loss = loss_mse(preds, z)
     ad.backward(loss)
-    grads = {}
-    for name, param in model.params.items():
-        g = param.grad
-        grads[name] = np.zeros_like(param.value) if g is None else g
-        if not np.all(np.isfinite(grads[name])):
+    grads = {name: param.grad for name, param in model.params.items()}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
             raise ModelError(f"non-finite activation after gradient of {name}")
     return float(loss.value), grads
 

@@ -171,6 +171,9 @@ FAULTY_LINES = {
     "nan-target": '{"id": "bad", "num_nodes": 1, "node_ops": [3], "edges": [], "targets": '
                   '{"clean_acc": NaN, "noisy_acc": 0, "inference_speed": 0, '
                   '"convergence_speed": 0}}',
+    "targets-not-object": '{"id": "bad", "num_nodes": 1, "node_ops": [3], "edges": [], '
+                          '"targets": [0, 0, 0, 0]}',
+    "not-an-object": '["bad"]',
     "duplicate-id": GOOD_LINE,
 }
 
@@ -190,7 +193,7 @@ def test_faulty_record_exit_2_names_its_line_and_id(command, kind, tmp_path, cap
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
-    assert ("'g0'" if kind == "duplicate-id" else "'bad'") in err
+    assert {"duplicate-id": "'g0'", "not-an-object": "JSON object"}.get(kind, "'bad'") in err
 
 
 class TestTrain:

@@ -265,10 +265,12 @@ class TestRecordTypes:
         # NaN, Infinity and -Infinity are not JSON numbers, though the json module reads them
         (("targets", "noisy_acc"), math.nan), (("targets", "noisy_acc"), math.inf),
         (("targets", "noisy_acc"), -math.inf),
+        (("targets",), [0.5, 0.4, 1, 0.5]), (("targets",), None),
     ], ids=["num_nodes=2.7", "num_nodes=3.0", "num_nodes=true", "op=4.9", "op='3'",
             "edge=[1,2.5]", "edge=[0,1.5]", "edge=[false,true]", "clean_acc=true",
             "noisy_acc='0.4'", "clean_acc=null", "clean_acc=10**400", "id=7", "id=['a']",
-            "noisy_acc=NaN", "noisy_acc=Infinity", "noisy_acc=-Infinity"])
+            "noisy_acc=NaN", "noisy_acc=Infinity", "noisy_acc=-Infinity", "targets=[...]",
+            "targets=null"])
     def test_wrong_type_is_a_parse_error(self, tmp_path, path, value):
         # the bad record follows a good one, and the error names its line and, if it parsed, its id
         with pytest.raises(gc.ParseError) as exc:
@@ -276,6 +278,15 @@ class TestRecordTypes:
                                   json.dumps(with_field(path, value))])
         assert exc.value.line_no == 2
         assert path == ("id",) or "'a'" in str(exc.value)
+        assert path != ("targets",) or "targets must be a JSON object" in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "5", "null"],
+                             ids=["array", "string", "number", "null"])
+    def test_line_that_is_not_an_object_is_a_parse_error(self, tmp_path, line):
+        with pytest.raises(gc.ParseError) as exc:
+            read_lines(tmp_path, [json.dumps(GOOD_RECORD), line])
+        assert exc.value.line_no == 2
+        assert "a record must be a JSON object" in str(exc.value)
 
     @given(field=st.sampled_from(INTEGER_FIELDS),
            value=JSON_VALUES.filter(lambda v: type(v) is not int))

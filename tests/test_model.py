@@ -42,12 +42,15 @@ def shared_row_batch(rng):
 
 def finite_difference_check(model, tokens, mask, targets, stats,
                             n_coords=200, eps=1e-5, seed=0):
-    """Central finite differences against analytic gradients.
+    """Central finite differences against analytic gradients, on the targets
+    z-scored with stats (mean, std).
 
     Relative error uses a 1e-3 floor on the denominator so near-zero
     gradients are compared absolutely.
     """
-    _, grads = md.backward_pass(model, tokens, mask, targets, stats)
+    mean, std = stats
+    z = (targets - mean) / std
+    _, grads = md.backward_pass(model, tokens, mask, z)
     names = list(model.params)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -58,10 +61,10 @@ def finite_difference_check(model, tokens, mask, targets, stats,
         orig = param.value[idx]
         param.value[idx] = orig + eps
         preds = md.encoder_forward(model, tokens, mask)
-        up = float(md.loss_mse(preds, targets, stats).value)
+        up = float(md.loss_mse(preds, z).value)
         param.value[idx] = orig - eps
         preds = md.encoder_forward(model, tokens, mask)
-        down = float(md.loss_mse(preds, targets, stats).value)
+        down = float(md.loss_mse(preds, z).value)
         param.value[idx] = orig
         fd = (up - down) / (2 * eps)
         analytic = grads[name][idx]
@@ -313,7 +316,7 @@ class TestGradientFidelity:
         model.params["head.w"].value[:] = 0.0
         tokens, mask = random_batch(rng)
         targets = rng.normal(size=(3, 4))
-        _, grads = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        _, grads = md.backward_pass(model, tokens, mask, targets)
         for name, g in grads.items():
             if name.startswith("head"):
                 continue
@@ -371,10 +374,10 @@ class TestNoTape:
         model = md.init_model(tiny_config(), seed=2)
         tokens, mask = shared_row_batch(rng)
         targets = rng.normal(size=(4, 4))
-        loss, grads = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        loss, grads = md.backward_pass(model, tokens, mask, targets)
         with ad.no_tape():
             md.encoder_forward(model, tokens, mask)
-        loss_after, grads_after = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        loss_after, grads_after = md.backward_pass(model, tokens, mask, targets)
         assert loss_after == loss
         assert all(np.any(g != 0.0) for g in grads.values())
         assert all(np.array_equal(grads[name], grads_after[name]) for name in grads)
@@ -447,6 +450,9 @@ class TestForward:
         a = md.encoder_forward(model, tokens, mask, train=False)
         b = md.encoder_forward(model, tokens, mask, train=False)
         assert np.array_equal(a.value, b.value)
+        # eval mode draws no dropout: the same weights at dropout_p = 0 give the same bits
+        c = md.encoder_forward(md.init_model(tiny_config(dropout_p=0.0), seed=8), tokens, mask)
+        assert np.array_equal(a.value, c.value)
 
     def test_train_mode_dropout_seeded(self):
         rng = np.random.default_rng(13)
@@ -457,6 +463,9 @@ class TestForward:
         c = md.encoder_forward(model, tokens, mask, train=True, dropout_seed=4)
         assert np.array_equal(a.value, b.value)
         assert not np.array_equal(a.value, c.value)
+        # the seed is keyword-only: a fifth positional argument is refused, not read as a seed
+        with pytest.raises(TypeError, match="positional argument"):
+            md.backward_pass(model, tokens, mask, np.zeros((3, 4)), 3)
 
     def test_train_mode_dropout_ignores_padding(self):
         # A8's bound in train mode: padding draws no dropout randomness
@@ -533,9 +542,9 @@ class TestPacking:
         model = md.init_model(tiny_config(), seed=10)
         tokens, mask = shared_row_batch(rng)
         targets = rng.normal(size=(4, 4))
-        _, grads = md.backward_pass(model, tokens, mask, targets, UNIT_STATS)
+        _, grads = md.backward_pass(model, tokens, mask, targets)
         singles = [md.backward_pass(model, tokens[b][mask[b]][None], mask[b][mask[b]][None],
-                                    targets[b][None], UNIT_STATS)[1] for b in range(4)]
+                                    targets[b][None])[1] for b in range(4)]
         # relative to the largest gradient entry: some entries (the key biases') are zero
         # up to rounding in both
         largest = max(np.max(np.abs(g)) for g in grads.values())
@@ -564,19 +573,18 @@ class TestPacking:
 class TestLoss:
     def test_zero_when_equal(self):
         preds = ad.Tensor(np.ones((2, 4)))
-        loss = md.loss_mse(preds, np.ones((2, 4)), UNIT_STATS)
+        loss = md.loss_mse(preds, np.ones((2, 4)))
         assert float(loss.value) == 0.0
 
     def test_constant_offset(self):
         targets = np.zeros((3, 4))
         preds = ad.Tensor(targets + 1.0)
-        loss = md.loss_mse(preds, targets, UNIT_STATS)
+        loss = md.loss_mse(preds, targets)
         assert float(loss.value) == pytest.approx(1.0)
 
     def test_hand_case(self):
         preds = ad.Tensor(np.zeros((1, 2)))
-        stats = (np.zeros(2), np.ones(2))
-        loss = md.loss_mse(preds, np.array([[3.0, 4.0]]), stats)
+        loss = md.loss_mse(preds, np.array([[3.0, 4.0]]))
         assert float(loss.value) == pytest.approx(12.5)
 
     def test_degenerate_stats(self):
