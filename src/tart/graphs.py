@@ -229,8 +229,9 @@ def read_dataset(path) -> list:
                 if not line:
                     continue
                 d = json.loads(line)
+            # ValueError covers bad UTF-8, bad JSON and an integer past Python's digit limit;
             # json.loads raises RecursionError on too deeply nested arrays or objects
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
             rec = _record_from_dict(d, line_no)
             first = first_line.setdefault(rec.id, line_no)

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import no_tape
+from .autodiff import Tensor, no_tape
 from .graphs import TARGET_NAMES, DatasetSplit, check_float, check_int
 from .model import (EncoderConfig, PredictorModel, StatsDegenerate, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
@@ -143,17 +144,17 @@ def _usable_cpus() -> int:
 
 
 def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
-                       tokenize) -> np.ndarray:
+                       tokenize, threads: int) -> np.ndarray:
     """Eval-mode predictions for items, in input order.
 
     Items are stable-sorted by token row count and cut into batches of
     batch_size; tokenize turns one batch of items into token matrices just
     before it runs, and the batch is padded to its own longest matrix. The
-    batches run on up to one thread per usable CPU, each batch exactly as it
-    would run alone, so the output does not depend on the thread count. The
+    batches run on up to `threads` threads, each batch exactly as it would
+    run alone, so the output does not depend on the thread count. The
     encoder's numpy and BLAS calls release the GIL; about 60% of
     tokenization, its Python and small numpy calls, holds it (see README).
-    One batch or one CPU runs inline and starts no thread. Memory is bounded
+    One batch or one thread runs inline and starts no thread. Memory is bounded
     by threads x batch, not by the number of items. The first failing batch
     in sorted order raises, and batches not yet started are cancelled.
     """
@@ -167,7 +168,7 @@ def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
         with no_tape():
             out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
 
-    workers = min(len(batches), _usable_cpus())
+    workers = min(len(batches), threads)
     if workers == 1:
         for idx in batches:
             run(idx)
@@ -194,7 +195,7 @@ def predict(model: PredictorModel, graphs, mode: str,
         raise HarnessError("no graphs to predict")
     return _forward_by_length(
         model, graphs, [token_rows(g, mode) for g in graphs], batch_size,
-        lambda batch: tokenize_many(batch, mode, d_p=model.config.d_p))
+        lambda batch: tokenize_many(batch, mode, d_p=model.config.d_p), _usable_cpus())
 
 
 def train_predictor(split: DatasetSplit, cfg: TrainConfig):
@@ -204,6 +205,13 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     split is labeled and eval_each_epoch is set, per-target test tau.
     Fully deterministic under cfg.seed; test labels never influence the
     trained parameters.
+
+    With a second usable CPU, each epoch's test eval runs on one other
+    thread, from a copy of that epoch's parameters, while the next epoch
+    trains; the last epoch's eval runs inline on up to one thread per CPU.
+    The history and the errors are the serial run's: an epoch's eval error
+    is raised before a later epoch's training error, and no thread outlives
+    the call. One CPU, one epoch or no eval runs nothing beside training.
     """
     if not split.train:
         raise HarnessError("empty training split")
@@ -225,27 +233,45 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         test_targets = _targets_matrix(split.test)
         test_mats = tokenize_many([r.graph for r in split.test], cfg.model.mode, d_p=cfg.model.d_p)
 
+    def evaluate(scored: PredictorModel, threads: int) -> dict:
+        # the batches predict() would run, from matrices tokenized once
+        preds = _forward_by_length(scored, test_mats, [len(m) for m in test_mats],
+                                   PREDICT_BATCH_SIZE, list, threads)
+        return tau_table(preds, test_targets)
+
+    overlap = eval_each_epoch and cfg.epochs > 1 and _usable_cpus() > 1
     history = []
+    pending = None  # the previous epoch's eval, running beside this epoch's training
     step = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(train_mats))
-        losses = []
-        for start in range(0, len(perm), cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            mats = [train_mats[i] for i in idx]
-            batch = pad_batch(mats, max(len(m) for m in mats))
-            loss, grads = backward_pass(model, batch.tokens, batch.mask, train_z[idx],
-                                        dropout_seed=cfg.seed * 1_000_003 + step)
-            adam_step(model, grads, state, lr=cfg.lr)
-            losses.append(loss)
-            step += 1
-        entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
-        if eval_each_epoch:
-            # the batches predict() would run, from matrices tokenized once
-            preds = _forward_by_length(model, test_mats, [len(m) for m in test_mats],
-                                       PREDICT_BATCH_SIZE, list)
-            entry["tau"] = tau_table(preds, test_targets)
-        history.append(entry)
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
+        try:
+            for epoch in range(cfg.epochs):
+                perm = rng.permutation(len(train_mats))
+                losses = []
+                for start in range(0, len(perm), cfg.batch_size):
+                    idx = perm[start:start + cfg.batch_size]
+                    mats = [train_mats[i] for i in idx]
+                    batch = pad_batch(mats, max(len(m) for m in mats))
+                    loss, grads = backward_pass(model, batch.tokens, batch.mask, train_z[idx],
+                                                dropout_seed=cfg.seed * 1_000_003 + step)
+                    adam_step(model, grads, state, lr=cfg.lr)
+                    losses.append(loss)
+                    step += 1
+                if pending is not None:
+                    done, pending = pending, None
+                    history[-1]["tau"] = done.result()
+                entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
+                history.append(entry)
+                if overlap and epoch + 1 < cfg.epochs:
+                    snapshot = {name: Tensor(param.value.copy())
+                                for name, param in model.params.items()}
+                    pending = pool.submit(evaluate, PredictorModel(model.config, snapshot), 1)
+                elif eval_each_epoch:
+                    entry["tau"] = evaluate(model, _usable_cpus())
+        except Exception:
+            if pending is not None:
+                pending.result()  # the earlier epoch's eval error comes first, as serially
+            raise
     return model, history
 
 

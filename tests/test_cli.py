@@ -174,6 +174,7 @@ FAULTY_LINES = {
     "targets-not-object": '{"id": "bad", "num_nodes": 1, "node_ops": [3], "edges": [], '
                           '"targets": [0, 0, 0, 0]}',
     "not-an-object": '["bad"]',
+    "huge-integer": '{"id": "bad", "num_nodes": ' + "1" * 5000 + ', "node_ops": [], "edges": []}',
     "duplicate-id": GOOD_LINE,
 }
 
@@ -193,7 +194,8 @@ def test_faulty_record_exit_2_names_its_line_and_id(command, kind, tmp_path, cap
     code, stdout, err = run(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
-    assert {"duplicate-id": "'g0'", "not-an-object": "JSON object"}.get(kind, "'bad'") in err
+    assert {"duplicate-id": "'g0'", "not-an-object": "JSON object",
+            "huge-integer": "4300 digits"}.get(kind, "'bad'") in err
 
 
 class TestTrain:

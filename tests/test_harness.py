@@ -193,12 +193,18 @@ class TestPredictBatching:
         hn.predict(model, graphs, "tart", batch_size=16)
         assert sizes == [16, 16, 8]
 
-    def test_history_tau_matches_predict(self):
+    def test_history_tau_matches_predict(self, monkeypatch):
+        """Every epoch's tau, the ones scored beside the next epoch's training
+        included, is predict's on a model trained that many epochs."""
         split = small_split()
-        model, history = tart.train_predictor(split, tiny_train_config(epochs=2))
-        preds = hn.predict(model, [r.graph for r in split.test], "tart")
         truth = np.stack([r.targets.as_array() for r in split.test])
-        assert hn.tau_table(preds, truth) == history[-1]["tau"]
+        with_cpus(monkeypatch, 2)
+        _, history = tart.train_predictor(split, tiny_train_config(epochs=3))
+        for epochs in (1, 2, 3):
+            model, _ = tart.train_predictor(
+                split, tiny_train_config(epochs=epochs, eval_each_epoch=False))
+            preds = hn.predict(model, [r.graph for r in split.test], "tart")
+            assert hn.tau_table(preds, truth) == history[epochs - 1]["tau"]
 
 
 def with_cpus(monkeypatch, n):
@@ -374,6 +380,68 @@ class TestTrainPredictor:
         for name in m1.params:
             assert np.array_equal(m1.params[name].value, m2.params[name].value)
         assert h1 == h2
+
+    def test_history_and_parameters_independent_of_cpus(self, monkeypatch):
+        split = small_split(count=120, n_train=40)  # 80 test graphs: two predict batches
+        cfg = tiny_train_config(epochs=3, model=EncoderConfig(
+            n_layer=1, d_model=8, n_heads=2, d_ff=16, dropout_p=0.1))
+        runs = []
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            runs.append(tart.train_predictor(split, cfg))
+        (m1, h1), *others = runs
+        for model, history in others:
+            assert history == h1
+            for name in m1.params:
+                assert np.array_equal(model.params[name].value, m1.params[name].value)
+
+    @pytest.mark.parametrize("cpus,epochs,eval_each_epoch,labeled", [
+        (1, 3, True, True), (2, 1, True, True), (2, 3, False, True), (2, 3, True, False)])
+    def test_no_thread_when_overlap_cannot_help(self, cpus, epochs, eval_each_epoch, labeled,
+                                                monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        split = small_split()  # 8 test graphs: the last epoch's eval is one batch, run inline
+        if not labeled:
+            split = tart.DatasetSplit(
+                train=split.train,
+                test=tuple(tart.LabeledGraph(graph=r.graph, targets=None, id=r.id)
+                           for r in split.test))
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        _, history = tart.train_predictor(split, tiny_train_config(
+            epochs=epochs, eval_each_epoch=eval_each_epoch))
+        assert len(history) == epochs
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("eval_fails,raised", [(True, "eval 1"), (False, "train 2")])
+    def test_errors_surface_in_serial_order(self, cpus, eval_fails, raised, monkeypatch):
+        """Epoch 1's eval fails after epoch 2's training has failed, yet the eval's
+        error is raised, as it is serially; no thread outlives the call."""
+        forward, backward = hn.encoder_forward, hn.backward_pass
+        steps = []
+
+        def failing_forward(model, tokens, mask, train):
+            time.sleep(0.1)
+            if eval_fails:
+                raise ModelError("eval 1")
+            return forward(model, tokens, mask, train=train)
+
+        def failing_backward(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 3:  # 16 training graphs in batches of 8: epoch 2's first step
+                raise ModelError("train 2")
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "encoder_forward", failing_forward)
+        monkeypatch.setattr(hn, "backward_pass", failing_backward)
+        with_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(ModelError, match=f"^{raised}$"):
+            tart.train_predictor(small_split(), tiny_train_config(epochs=3))
+        assert threading.active_count() == before
+        assert len(steps) == (2 if cpus == 1 and eval_fails else 3)
 
     def test_unlabeled_train_rejected(self):
         split = small_split()
