@@ -12,7 +12,7 @@ from .autodiff import Tensor, no_tape
 from .graphs import TARGET_NAMES, DatasetSplit, check_float, check_int
 from .model import (EncoderConfig, PredictorModel, StatsDegenerate, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
-from .tokens import pad_batch, token_rows, tokenize_many
+from .tokens import pad_batch, tokenize_many
 
 # Published reference results on DeepNets-1M (30-epoch rows); printed for
 # context only, never asserted: this artifact does not reproduce them.
@@ -25,6 +25,7 @@ REFERENCE_TAU_30_EPOCHS = {
 
 
 PREDICT_BATCH_SIZE = 64
+PREDICT_CHUNK_BATCHES = 64  # batches predict tokenizes at a time: its bound on token memory
 
 
 class HarnessError(ValueError):
@@ -143,28 +144,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forward_by_length(model: PredictorModel, items, rows, batch_size: int,
-                       tokenize, threads: int) -> np.ndarray:
-    """Eval-mode predictions for items, in input order.
+def _forward_by_length(model: PredictorModel, mats, batch_size: int, threads: int) -> np.ndarray:
+    """Eval-mode predictions for token matrices, in input order.
 
-    Items are stable-sorted by token row count and cut into batches of
-    batch_size; tokenize turns one batch of items into token matrices just
-    before it runs, and the batch is padded to its own longest matrix. The
-    batches run on up to `threads` threads, each batch exactly as it would
-    run alone, so the output does not depend on the thread count. The
-    encoder's numpy and BLAS calls release the GIL; about 60% of
-    tokenization, its Python and small numpy calls, holds it (see README).
-    One batch or one thread runs inline and starts no thread. Memory is bounded
-    by threads x batch, not by the number of items. The first failing batch
-    in sorted order raises, and batches not yet started are cancelled.
+    The matrices are stable-sorted by row count and cut into batches of
+    batch_size, each padded to its own longest matrix. The batches run on up
+    to `threads` threads, each batch exactly as it would run alone, so the
+    output does not depend on the thread count; the encoder's numpy and BLAS
+    calls release the GIL. One batch or one thread runs inline and starts no
+    thread. The first failing batch in sorted order raises, and batches not
+    yet started are cancelled.
     """
-    order = np.argsort(rows, kind="stable")
-    out = np.empty((len(items), len(TARGET_NAMES)))
+    order = np.argsort([len(m) for m in mats], kind="stable")
+    out = np.empty((len(mats), len(TARGET_NAMES)))
     batches = [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
 
     def run(idx):
-        mats = tokenize([items[i] for i in idx])
-        batch = pad_batch(mats, max(len(m) for m in mats))
+        batch = pad_batch([mats[i] for i in idx], max(len(mats[i]) for i in idx))
         with no_tape():
             out[idx] = encoder_forward(model, batch.tokens, batch.mask, train=False).value
 
@@ -184,8 +180,10 @@ def predict(model: PredictorModel, graphs, mode: str,
             batch_size: int = PREDICT_BATCH_SIZE) -> np.ndarray:
     """Eval-mode predictions in input order; mode must restate model.config.mode.
 
-    Graphs run in batches of similar size (see _forward_by_length), each
-    tokenized only when it is about to run.
+    The graphs are tokenized on the calling thread, PREDICT_CHUNK_BATCHES
+    batches' worth at a time in input order, and each chunk's matrices run
+    in batches of similar size (see _forward_by_length), so memory is bounded
+    by the chunk, not by the number of graphs.
     """
     if mode != model.config.mode:
         raise HarnessError(f"model reads {model.config.mode!r} tokens, not {mode!r}")
@@ -193,9 +191,10 @@ def predict(model: PredictorModel, graphs, mode: str,
     graphs = list(graphs)
     if not graphs:
         raise HarnessError("no graphs to predict")
-    return _forward_by_length(
-        model, graphs, [token_rows(g, mode) for g in graphs], batch_size,
-        lambda batch: tokenize_many(batch, mode, d_p=model.config.d_p), _usable_cpus())
+    chunk = PREDICT_CHUNK_BATCHES * batch_size
+    return np.concatenate([_forward_by_length(
+        model, tokenize_many(graphs[start:start + chunk], mode, d_p=model.config.d_p),
+        batch_size, _usable_cpus()) for start in range(0, len(graphs), chunk)])
 
 
 def train_predictor(split: DatasetSplit, cfg: TrainConfig):
@@ -234,9 +233,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         test_mats = tokenize_many([r.graph for r in split.test], cfg.model.mode, d_p=cfg.model.d_p)
 
     def evaluate(scored: PredictorModel, threads: int) -> dict:
-        # the batches predict() would run, from matrices tokenized once
-        preds = _forward_by_length(scored, test_mats, [len(m) for m in test_mats],
-                                   PREDICT_BATCH_SIZE, list, threads)
+        # predict()'s batches when the test split fits in one chunk, from matrices tokenized once
+        preds = _forward_by_length(scored, test_mats, PREDICT_BATCH_SIZE, threads)
         return tau_table(preds, test_targets)
 
     overlap = eval_each_epoch and cfg.epochs > 1 and _usable_cpus() > 1

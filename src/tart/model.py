@@ -334,7 +334,7 @@ def load_model(path) -> PredictorModel:
         cfg = EncoderConfig(**json.loads(blob[15:offset].decode("utf-8")))
     except VersionMismatch:
         raise
-    except (struct.error, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (struct.error, json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
         raise CorruptFile(str(exc)) from exc
     # closed form first: a header naming a huge encoder fails without building its layout
     needed = 8 * parameter_count(cfg)

@@ -104,13 +104,6 @@ def tokenize_graph(graph: ComputationalGraph, mode: str, d_p: int | None = None)
     return tokenize_many([graph], mode, d_p)[0]
 
 
-def token_rows(graph: ComputationalGraph, mode: str) -> int:
-    """Row count of tokenize_graph(graph, mode), read off the graph without tokenizing it."""
-    if mode not in MODES:
-        raise TokenizerError(f"unknown tokenization mode: {mode!r}")
-    return graph.num_nodes + graph.num_edges if mode == "tart" else graph.num_nodes
-
-
 def tokenize_many(graphs, mode: str, d_p: int | None = None) -> list:
     """Token matrices of a sequence of graphs, in input order: 'tart' (d_p positional
     features, DEFAULT_D_P if None) or 'pure' (node rows only, so a d_p other than None

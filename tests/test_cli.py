@@ -393,24 +393,28 @@ class TestEvalAndCompare:
         expected = evaluate_predictor(load_model(ckpt), gc.read_dataset(dataset))
         assert stdout == json.dumps(expected, indent=2) + "\n"
 
-    # a version-3 file, a header whose n_layer is a float, and a pure header over the
-    # 11-wide input_proj that pure checkpoints had before their rows were 5 wide
+    # a version-3 file, a header whose n_layer is a float, a pure header over the
+    # 11-wide input_proj that pure checkpoints had before their rows were 5 wide, and a
+    # header of 100,000 nested arrays, written as bytes: deeper than json.dumps can write
     @pytest.mark.parametrize("version,header",
                              [(3, {}), (md.MODEL_FORMAT_VERSION, {"n_layer": 1.0}),
-                              (md.MODEL_FORMAT_VERSION, {"mode": "pure"})],
-                             ids=["version-3", "float-n_layer", "pure-header-over-tart-rows"])
+                              (md.MODEL_FORMAT_VERSION, {"mode": "pure"}),
+                              (md.MODEL_FORMAT_VERSION, b"[" * 100_000 + b"]" * 100_000)],
+                             ids=["version-3", "float-n_layer", "pure-header-over-tart-rows",
+                                  "deeply-nested-header"])
     def test_eval_bad_checkpoint_exit_1(self, version, header, dataset, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         md.save_model(md.init_model(md.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=16),
                                     seed=0), ckpt)
         blob = ckpt.read_bytes()
         (cfg_len,) = struct.unpack_from("<I", blob, 11)
-        cfg_json = json.dumps({**json.loads(blob[15:15 + cfg_len]), **header}).encode()
-        ckpt.write_bytes(blob[:7] + struct.pack("<II", version, len(cfg_json)) + cfg_json
+        if isinstance(header, dict):
+            header = json.dumps({**json.loads(blob[15:15 + cfg_len]), **header}).encode()
+        ckpt.write_bytes(blob[:7] + struct.pack("<II", version, len(header)) + header
                          + blob[15 + cfg_len:])
         code, _, err = run(capsys, "eval", "--model", str(ckpt), "--data", str(dataset))
         assert code == 1
-        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     # without allow_abbrev=False, eval's --mode would be read as a prefix of --model
     @pytest.mark.parametrize("argv", [["eval", "--model", "m.ckpt", "--mode", "pure"],

@@ -181,17 +181,33 @@ class TestPredictBatching:
         assert all(r_max == longest for r_max, longest in padded)
         assert [r for r, _ in padded] == sorted(r for r, _ in padded)
 
-    def test_tokenizes_one_batch_at_a_time(self, scored, monkeypatch):
+    # 40 graphs in batches of 16: the default chunk holds them all, one of 2 batches 32
+    @pytest.mark.parametrize("chunk_batches,sizes", [(None, [40]), (2, [32, 8])],
+                             ids=["one-chunk", "two-chunks"])
+    def test_tokenizes_chunks_on_the_calling_thread(self, scored, chunk_batches, sizes,
+                                                    monkeypatch):
         model, graphs = scored
-        sizes = []
+        calls = []  # (graphs tokenized, thread it ran on)
 
         def recording_tokenize_many(batch, mode, d_p):
-            sizes.append(len(batch))
+            calls.append((len(batch), threading.current_thread()))
             return tk.tokenize_many(batch, mode, d_p=d_p)
 
         monkeypatch.setattr(hn, "tokenize_many", recording_tokenize_many)
+        if chunk_batches is not None:
+            monkeypatch.setattr(hn, "PREDICT_CHUNK_BATCHES", chunk_batches)
+        with_cpus(monkeypatch, 2)
         hn.predict(model, graphs, "tart", batch_size=16)
-        assert sizes == [16, 16, 8]
+        assert calls == [(size, threading.current_thread()) for size in sizes]
+
+    def test_chunks_predict_as_each_chunk_alone(self, scored, monkeypatch):
+        model, graphs = scored
+        monkeypatch.setattr(hn, "PREDICT_CHUNK_BATCHES", 2)  # chunks of 16, 16 and 8 graphs
+        with_cpus(monkeypatch, 2)
+        alone = [hn.predict(model, graphs[start:start + 16], "tart", batch_size=8)
+                 for start in range(0, len(graphs), 16)]
+        assert np.array_equal(hn.predict(model, graphs, "tart", batch_size=8),
+                              np.concatenate(alone))
 
     def test_history_tau_matches_predict(self, monkeypatch):
         """Every epoch's tau, the ones scored beside the next epoch's training
@@ -228,7 +244,7 @@ class TestPredictThreads:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equal_to_batches_run_one_by_one(self, graphs, mode, cpus, monkeypatch):
         model = self.model(mode)
-        order = np.argsort([tk.token_rows(g, mode) for g in graphs], kind="stable")
+        order = np.argsort([len(tk.tokenize_graph(g, mode)) for g in graphs], kind="stable")
         serial = np.empty((len(graphs), 4))
         for start in range(0, len(order), 8):  # 6 batches, the last one short
             idx = order[start:start + 8]
@@ -264,7 +280,7 @@ class TestPredictThreads:
             time.sleep(0.02)
             return forward(model, tokens, mask, train=train)
 
-        rows = sorted(tk.token_rows(g, "tart") for g in graphs)
+        rows = sorted(len(tk.tokenize_graph(g, "tart")) for g in graphs)
         batch_widths = rows[2::3]  # each batch of 3 is padded to its last, longest graph
         assert len(set(batch_widths[:4])) == 4 and len(batch_widths) == 15
         monkeypatch.setattr(hn, "encoder_forward", failing_forward)

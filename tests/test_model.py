@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import tart
 from tart import autodiff as ad
 from tart import model as md
-from tart.tokens import token_rows
 
 
 def tiny_config(**overrides):
@@ -557,7 +556,8 @@ class TestPacking:
         # 16, 6 epochs: packed attention work sum(rows * R^2) against one row per graph
         records = tart.generate_synthetic(400, 16, 0.3, 0.02, 0)
         split = tart.split_dataset(records, 200, seed=0)
-        lengths = np.array([token_rows(r.graph, "tart") for r in split.train])
+        mats = tart.tokenize_many([r.graph for r in split.train], "tart")
+        lengths = np.array([len(m) for m in mats])
         rng = np.random.default_rng(0)
         packed = padded = 0
         for _ in range(6):
@@ -734,6 +734,14 @@ class TestCheckpoint:
         blob = rewrite_header(small_checkpoint.read_bytes(), header)
         with pytest.raises(md.CorruptFile):
             load_bytes(small_checkpoint.with_name("edited.ckpt"), blob)
+
+    def test_header_nested_too_deeply(self, small_checkpoint):
+        blob = small_checkpoint.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 11)
+        header = b"[" * 100_000 + b"]" * 100_000  # deeper than json.dumps can write
+        with pytest.raises(md.CorruptFile):
+            load_bytes(small_checkpoint.with_name("nested.ckpt"),
+                       blob[:11] + struct.pack("<I", len(header)) + header + blob[15 + cfg_len:])
 
     # version 1 predates the tokenizer fields, so its mode cannot be known; version 2's
     # header names the deleted pooling and n_targets fields; version 3 carries per-tensor

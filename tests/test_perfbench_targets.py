@@ -5,16 +5,15 @@ at its smoke size calls everything else the benchmark uses, so a rename,
 deletion or signature change that breaks the benchmark fails here, in the
 main suite, and not only in the benchmark's own self-test. A traced `tart`
 predict must also pass through the wrapped Laplacian, eigensolver and token
-assembly once per stack, that is once per node count in each batch, its
-batches on one thread or on several: a tokenizer that calls them by another
-name would leave those per-layer metrics reading 0. Token assembly calls the
-two spectral layers, so its span must hold theirs: `tokens.assemble_s` is its
-self time, and it is assembly alone only then.
+assembly once per stack, that is once per node count in each chunk it
+tokenizes, its batches on one thread or on several: a tokenizer that calls
+them by another name would leave those per-layer metrics reading 0. Token
+assembly calls the two spectral layers, so its span must hold theirs:
+`tokens.assemble_s` is its self time, and it is assembly alone only then.
 """
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tart import autodiff, graphs, harness, model, tokens
@@ -50,12 +49,12 @@ def test_workload_runs_at_smoke_size(name, tmp_path, monkeypatch):
 
 
 def predict_stacks(graph_list, batch_size):
-    """Stacks that predict tokenizes: one per node count in each of its size-sorted
-    batches, with at most STACK_CAP graphs in each."""
-    order = np.argsort([tokens.token_rows(g, "tart") for g in graph_list], kind="stable")
+    """Stacks that predict tokenizes: one per node count in each of its chunks of
+    PREDICT_CHUNK_BATCHES batches, with at most STACK_CAP graphs in each."""
+    chunk = harness.PREDICT_CHUNK_BATCHES * batch_size
     stacks = 0
-    for start in range(0, len(order), batch_size):
-        sizes = Counter(graph_list[i].num_nodes for i in order[start:start + batch_size])
+    for start in range(0, len(graph_list), chunk):
+        sizes = Counter(g.num_nodes for g in graph_list[start:start + chunk])
         stacks += sum(-(-count // tokens.STACK_CAP) for count in sizes.values())
     return stacks
 
@@ -90,6 +89,6 @@ def test_traced_predict_on_two_threads_counts_each_graph_once(monkeypatch):
         harness.predict(model.init_model(encoder, seed=0), [r.graph for r in records], "tart",
                         batch_size=4)
     stacks = predict_stacks([r.graph for r in records], 4)
-    assert stacks < len(records)  # some batch holds two graphs of one node count
+    assert stacks < len(records)  # some node count holds two graphs
     assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == stacks
     assert tracer.calls["model.encoder_forward"] == 8

@@ -197,14 +197,6 @@ class TestNodeOnly:
             assert np.array_equal(pure, tart_nodes[:, [0, -4, -3, -2, -1]])
 
 
-@pytest.mark.parametrize("mode", tk.MODES)
-def test_token_rows_is_the_tokenized_row_count(mode):
-    rng = np.random.default_rng(21)
-    graphs = [random_valid_graph(rng) for _ in range(30)] + [gc.make_graph(3, [1, 2, 3], [])]
-    for g in graphs:
-        assert tk.token_rows(g, mode) == len(tk.tokenize_graph(g, mode))
-
-
 @pytest.mark.parametrize("mode,d_p", [
     ("pure", 7), ("pure", True), ("tart", True), ("tart", 2.5), ("tart", -1), ("tart", "3")])
 def test_ignored_or_bad_d_p_rejected(mode, d_p):
@@ -216,10 +208,10 @@ def test_ignored_or_bad_d_p_rejected(mode, d_p):
             tk.tokenize_lap([g], d_p)
 
 
-@pytest.mark.parametrize("count_rows", [tk.token_rows, tk.tokenize_graph])
-def test_unknown_mode_rejected(count_rows):
+@pytest.mark.parametrize("tokenize", [tk.tokenize_graph])
+def test_unknown_mode_rejected(tokenize):
     with pytest.raises(tk.TokenizerError, match="unknown tokenization mode: 'bogus'"):
-        count_rows(gc.make_graph(3, [1, 2, 3], [(0, 1)]), "bogus")
+        tokenize(gc.make_graph(3, [1, 2, 3], [(0, 1)]), "bogus")
 
 
 class TestIdentifierRoundTrip:
