@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough ops for a transformer encoder: linear maps, batched matmul, layer
-norm, masked softmax, GELU in its tanh form (arXiv:1606.08415), dropout,
-concatenation and unstacking, row gather and scatter between packed and padded
-layouts, mean pooling over packed rows, and the elementwise arithmetic needed
-for losses. Each op records vector-Jacobian closures; backward() walks the
-tape in reverse topological order. Inside no_tape() a thread records nothing,
-so an eval forward frees each intermediate as soon as the next op has read it.
+norm, masked softmax, GELU in its tanh form (arXiv:1606.08415), dropout, the
+feed-forward net and attention fused from those, concatenation and unstacking,
+row gather and scatter, mean pooling over packed rows, and the elementwise
+arithmetic needed for losses. Each op records vector-Jacobian closures;
+backward() walks the tape in reverse topological order. Inside no_tape() a
+thread records nothing, so an eval forward frees each intermediate once the
+next op has read it, and a fused op holds one row block's temporaries at a time.
 """
 from __future__ import annotations
 
@@ -20,16 +21,17 @@ import numpy as np
 def _keep_freed_memory() -> None:
     """Stop glibc from handing large freed blocks back to the OS.
 
-    By default a large temporary (FFN hidden rows, attention scores: 1-3 MB)
-    is mmap'd and munmap'd, or trimmed off the top of the heap, when it is
-    freed, so the next batch page-faults the same memory back in and the
-    kernel zero-fills it: 0.3-0.4 s of a 1.5 s scoring pass of 2,500 graphs
-    went to system time. Serving blocks below 32 MiB from the heap, and
-    trimming it only past 256 MiB of free space at the top (64 MiB still left
-    36,000 faults per pass), keeps those pages in the process. One arena
-    serves every thread: with an arena per thread, each worker of a parallel
-    predict would keep a high-water heap of its own. A no-op where the C
-    library has no mallopt (not glibc).
+    By default a large temporary (a 512 KB row block of FFN hidden values or
+    attention scores, a packed-row array of up to about 1 MB) is mmap'd and
+    munmap'd, or trimmed off the top of the heap, when it is freed, so the
+    next batch page-faults the same memory back in and the kernel zero-fills
+    it: a scoring pass of 2,500 graphs took about 31,000 faults and 0.07-0.10
+    s of system time. Serving blocks below 32 MiB from the heap, and trimming
+    it only past 256 MiB of free space at the top, keeps those pages in the
+    process: 11-25 faults a pass (64 MiB left 36,000 before the row blocks,
+    12-537 since). One arena serves every thread: with an arena per thread,
+    each worker of a parallel predict would keep a high-water heap of its
+    own. A no-op where the C library has no mallopt (not glibc).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -47,6 +49,7 @@ _keep_freed_memory()
 _GELU_A = np.sqrt(2.0 / np.pi)  # gelu(x) = 0.5 x (1 + tanh(a x + b x^3))
 _GELU_B = 0.044715 * _GELU_A
 LAYER_NORM_EPS = 1e-5
+BLOCK_VALUES = 1 << 16  # float64s (512 KB) in a row block of a fused op's temporaries
 
 
 class _Tape(threading.local):
@@ -176,28 +179,80 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(y, ((a, vjp_a), (b, vjp_b)))
 
 
-def gelu(x: Tensor) -> Tensor:
-    gate = np.square(x.value)
+def _gelu_gate(x: np.ndarray, out=None) -> np.ndarray:
+    """0.5 (1 + tanh(a x + b x^3)), so that gelu(x) = x * gate."""
+    gate = np.square(x, out=out)
     gate *= _GELU_B
     gate += _GELU_A
-    gate *= x.value
+    gate *= x
     np.tanh(gate, out=gate)
     gate += 1.0
     gate *= 0.5
+    return gate
 
-    def vjp(g):
-        # g * (gate + 2u' x gate (1 - gate)), u' = a + 3 b x^2; 2u' is 6b x^2 + 2a exactly
-        out = np.square(x.value)
-        out *= 6.0 * _GELU_B
-        out += 2.0 * _GELU_A
-        out *= x.value
-        out *= gate
-        out *= 1.0 - gate
-        out += gate
-        out *= g
-        return out
 
-    return Tensor(x.value * gate, ((x, vjp),))
+def _gelu_slope(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """d gelu / dx = gate + 2u' x gate (1 - gate), u' = a + 3 b x^2; 2u' is 6b x^2 + 2a exactly."""
+    out = np.square(x)
+    out *= 6.0 * _GELU_B
+    out += 2.0 * _GELU_A
+    out *= x
+    out *= gate
+    out *= 1.0 - gate
+    out += gate
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    gate = _gelu_gate(x.value)
+    return Tensor(x.value * gate, ((x, lambda g: _gelu_slope(x.value, gate) * g),))
+
+
+def _once(fn):
+    """fn(g), computed once for the g that an op's vjps are all handed."""
+    memo = [None, None]
+
+    def shared(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return shared
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) for x (T, D), bit for bit.
+
+    The hidden layer runs in blocks of BLOCK_VALUES // d_ff rows, at least 2,
+    and a 1-row tail joins the block before it: BLAS multiplies a single row
+    by another path, with other bits. Untaped, only one block's hidden values
+    exist at a time; taped, the blocks fill the whole (T, d_ff) arrays that
+    the vjps read.
+    """
+    n, ff = x.value.shape[0], w1.value.shape[1]
+    size = max(2, BLOCK_VALUES // ff)
+    taped = _tape.recording
+    rows = n if taped else min(n, size + 1)  # a block has at most size + 1 rows
+    pre, gate, hidden = np.empty((rows, ff)), np.empty((rows, ff)), np.empty((rows, ff))
+    y = np.empty((n, w2.value.shape[1]))
+    starts = list(range(0, n, size))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, end in zip(starts, starts[1:] + [n]):
+        at = slice(start, end) if taped else slice(0, end - start)
+        np.matmul(x.value[start:end], w1.value, out=pre[at])
+        pre[at] += b1.value
+        _gelu_gate(pre[at], out=gate[at])
+        np.multiply(pre[at], gate[at], out=hidden[at])
+        np.matmul(hidden[at], w2.value, out=y[start:end])
+    y += b2.value
+
+    d_pre = _once(lambda g: _gelu_slope(pre, gate) * (g @ w2.value.T))
+    return Tensor(y, ((x, lambda g: d_pre(g) @ w1.value.T),
+                      (w1, lambda g: x.value.T @ d_pre(g)),
+                      (b1, lambda g: d_pre(g).sum(axis=0)),
+                      (w2, lambda g: hidden.T @ g),
+                      (b2, lambda g: g.sum(axis=0))))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -231,6 +286,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(y, ((x, vjp_x), (gain, vjp_gain), (bias, vjp_bias)))
 
 
+def _softmax(scores: np.ndarray, mask) -> np.ndarray:
+    if mask is None:
+        p = scores - np.max(scores, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+    else:
+        top = np.max(scores, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        p = np.zeros(scores.shape)
+        np.subtract(scores, top, out=p, where=mask)
+        np.exp(p, out=p, where=mask)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """p * (g - sum(g * p))"""
+    out = g * p
+    np.subtract(g, np.add.reduce(out, axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
+
+
 def softmax_masked(scores: Tensor, mask) -> Tensor:
     """Softmax over the last axis of scores, over the entries where the boolean
     mask (broadcastable to scores) is True; masked entries get probability 0.
@@ -240,24 +316,17 @@ def softmax_masked(scores: Tensor, mask) -> Tensor:
     zeros: exponentiating a masked entry would underflow, which takes numpy's
     slow path.
     """
-    if mask is None:
-        p = scores.value - np.max(scores.value, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-    else:
-        top = np.max(scores.value, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-        p = np.zeros(scores.value.shape)
-        np.subtract(scores.value, top, out=p, where=mask)
-        np.exp(p, out=p, where=mask)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    p = _softmax(scores.value, mask)
+    return Tensor(p, ((scores, lambda g: _softmax_vjp(p, g)),))
 
-    def vjp(g):
-        # p * (g - sum(g * p))
-        out = g * p
-        np.subtract(g, np.add.reduce(out, axis=-1, keepdims=True), out=out)
-        out *= p
-        return out
 
-    return Tensor(p, ((scores, vjp),))
+def _dropout_keep(shape, p: float, rng, where) -> np.ndarray:
+    """0 or 1 / (1 - p) for each entry; only the entries selected by `where`
+    draw from rng, in row-major order, and every other entry is 0."""
+    where = np.broadcast_to(where, shape)
+    keep = np.zeros(shape)
+    keep[where] = (rng.random(np.count_nonzero(where)) >= p) / (1.0 - p)
+    return keep
 
 
 def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
@@ -269,10 +338,48 @@ def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
     """
     if rng is None:
         return x
-    where = np.broadcast_to(where, x.value.shape)
-    keep = np.zeros(x.value.shape)
-    keep[where] = (rng.random(np.count_nonzero(where)) >= p) / (1.0 - p)
+    keep = _dropout_keep(x.value.shape, p, rng, where)
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, p: float, rng, where) -> Tensor:
+    """matmul(dropout(softmax_masked(q k^T, mask), p, rng, where), v), bit for bit.
+
+    q, k and v are (rows, H, R, d); mask (None: attend every entry) and
+    where are boolean (rows, 1, R, R) or (rows, H, R, R) arrays. The scores
+    run in blocks of whole attention rows, BLOCK_VALUES // (H R^2) of them
+    (at least one), and each block draws its dropout in row-major order,
+    which continues the one draw over all the scores. Untaped, only one
+    block's scores exist at a time; taped, the blocks fill the whole
+    probability (and dropout) arrays that the vjps read.
+    """
+    rows, h, r, _ = q.value.shape
+    taped = _tape.recording
+    probs = np.empty((rows, h, r, r)) if taped else None
+    keep = np.empty(probs.shape) if taped and rng is not None else None
+    ctx = np.empty(v.value.shape)
+    step = max(1, BLOCK_VALUES // (h * r * r))
+    for start in range(0, rows, step):
+        at = slice(start, start + step)
+        block = _softmax(q.value[at] @ np.swapaxes(k.value[at], -1, -2),
+                         None if mask is None else mask[at])
+        if taped:
+            probs[at] = block
+        if rng is not None:
+            block_keep = _dropout_keep(block.shape, p, rng, where[at])
+            if taped:
+                keep[at] = block_keep
+            block *= block_keep
+        np.matmul(block, v.value[at], out=ctx[at])
+
+    def drop(a):
+        return a if keep is None else a * keep
+
+    d_scores = _once(lambda g: _softmax_vjp(probs, drop(g @ np.swapaxes(v.value, -1, -2))))
+    return Tensor(ctx, ((q, lambda g: d_scores(g) @ k.value),
+                        (k, lambda g: np.swapaxes(
+                            np.swapaxes(q.value, -1, -2) @ d_scores(g), -1, -2)),
+                        (v, lambda g: np.swapaxes(drop(probs), -1, -2) @ g)))
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:

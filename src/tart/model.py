@@ -177,9 +177,8 @@ def _attention(x: Tensor, slots, attend, pairs: np.ndarray, p: dict,
         qkv = ad.scatter_rows(qkv, slots, rows * r)
     q, k, v = ad.unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, h, dh)), (2, 0, 3, 1, 4)))
 
-    probs = ad.softmax_masked(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), attend)
-    probs = ad.dropout(probs, config.dropout_p, drop_rng, where=pairs)
-    ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
+    ctx = ad.attention(q, k, v, attend, config.dropout_p, drop_rng, pairs)
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (rows * r, d))
     if slots is not None:
         ctx = ad.gather_rows(ctx, slots)
     return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -231,8 +230,8 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
         x = ad.add(x, ad.dropout(attn, cfg.dropout_p, drop_rng))
 
         normed = ad.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
-        hidden = ad.gelu(ad.linear(normed, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"]))
-        out = ad.linear(hidden, p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"])
+        out = ad.feed_forward(normed, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"],
+                              p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"])
         x = ad.add(x, ad.dropout(out, cfg.dropout_p, drop_rng))
 
         if not np.all(np.isfinite(x.value)):

@@ -2,13 +2,16 @@ import ctypes
 import dataclasses
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tart
+from tart import autodiff as ad
 from tart import harness as hn
+from tart import model as md
 from tart import tokens as tk
 from tart.model import EncoderConfig, ModelError, StatsDegenerate
 
@@ -351,6 +354,64 @@ def test_repeated_predict_reuses_freed_memory(monkeypatch):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     hn.predict(model, graphs, "tart")
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+class TestPassMemory:
+    """Peak bytes a scoring pass allocates, as tracemalloc counts numpy's buffers:
+    the encoder holds one row block of FFN hidden values or attention scores at
+    a time, not the batch's whole hidden layer and score tensor."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        model = tart.init_model(EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=256), seed=0)
+        return model, [r.graph for r in tart.generate_synthetic(3000, 16, 0.3, 0.0, 0)]
+
+    @staticmethod
+    def peak_mib(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_forward_on_long_graphs(self, scored):
+        # the 64 longest graphs, 3,680 rows in 67-slot attention rows: 10.1 MiB
+        # measured, 33.0 MiB with the whole hidden layer and score tensor built at once
+        model, graphs = scored
+        mats = sorted(tk.tokenize_many(graphs, "tart"), key=len)[-64:]
+        batch = tk.pad_batch(mats, len(mats[-1]))
+
+        def forward():
+            with ad.no_tape():
+                md.encoder_forward(model, batch.tokens, batch.mask)
+
+        assert self.peak_mib(forward) < 16
+
+    def test_two_thread_predict(self, scored, monkeypatch):
+        # 1,024 graphs' tokens included: 17.2-18.0 MiB measured, 41.7-49.3 MiB without
+        # row blocks
+        model, graphs = scored
+        with_cpus(monkeypatch, 2)
+        assert self.peak_mib(hn.predict, model, graphs[:1024], "tart") < 28
+
+
+def test_row_blocks_move_no_bit(monkeypatch):
+    """One attention row and two FFN rows per block give the default's bits."""
+    graphs = [r.graph for r in tart.generate_synthetic(45, 12, 0.4, 0.0, seed=4)]
+    split = small_split(count=120, n_train=40)
+    cfg = tiny_train_config(epochs=3, model=EncoderConfig(
+        n_layer=1, d_model=8, n_heads=2, d_ff=16, dropout_p=0.1))
+    with_cpus(monkeypatch, 2)
+    runs = []
+    for block_values in (ad.BLOCK_VALUES, 1):
+        monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
+        model, history = tart.train_predictor(split, cfg)
+        runs.append((hn.predict(model, graphs, "tart", batch_size=8), history, model.params))
+    (preds, history, params), blocked = runs
+    assert np.array_equal(blocked[0], preds) and blocked[1] == history
+    for name, param in params.items():
+        assert np.array_equal(blocked[2][name].value, param.value)
 
 
 class TestTrainPredictor:

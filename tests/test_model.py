@@ -131,6 +131,18 @@ class TestAutodiffOps:
         mask[0, ..., -1] = False
         self.check_op(lambda s: ad.softmax_masked(s, mask), [(2, 2, 4, 4)])
 
+    def test_feed_forward(self):
+        self.check_op(ad.feed_forward, [(5, 3), (3, 6), (6,), (6, 3), (3,)])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_attention(self, p):
+        # two attention rows, the first shared by samples of 3 and 1 tokens
+        owner = np.array([[0, 0, 0, 1], [2, 2, 2, 2]])
+        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
+        self.check_op(lambda q, k, v: ad.attention(
+            q, k, v, attend, p, np.random.default_rng(3) if p else None, attend),
+            [(2, 2, 4, 3)] * 3)
+
     def test_masked_mean(self):
         # two samples packed as rows 0-1 and 2-4
         self.check_op(lambda x: ad.masked_mean(x, np.array([2, 3])), [(5, 4)])
@@ -277,6 +289,84 @@ class TestKernelsMatchReference:
             reference_step(values, grads, m, v, t, lr=1e-2)
         for name, param in model.params.items():
             assert np.array_equal(param.value, values[name])
+
+
+def feed_forward_chain(x, w1, b1, w2, b2):
+    return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+
+
+def attention_chain(q, k, v, mask, p, rng, where):
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    return ad.matmul(ad.dropout(ad.softmax_masked(scores, mask), p, rng, where), v)
+
+
+def value_and_grads(build, values):
+    """build's output value and the gradient of mean(out^2) in each of its inputs."""
+    leaves = [ad.Tensor(value.copy()) for value in values]
+    out = build(*leaves)
+    ad.backward(ad.mean_all(ad.square(out)))
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+def assert_same_bits(fused, chain):
+    assert len(fused) == len(chain)
+    for a, b in zip(fused, chain):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestFusedOps:
+    """feed_forward and attention give the bits of the op chains they fuse,
+    forward and backward, however many row blocks they run in."""
+
+    @pytest.mark.parametrize("block_values", [None, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 257, 600])
+    def test_feed_forward_matches_chain(self, rows, block_values, monkeypatch):
+        # the benchmark's d_model 32 and d_ff 256; blocks of 256 rows by default and
+        # of 2 rows at 64 values, so 257 rows and 5 rows leave a 1-row tail
+        if block_values is not None:
+            monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(rows)
+        values = [rng.normal(size=s) for s in [(rows, 32), (32, 256), (256,), (256, 32), (32,)]]
+        assert_same_bits(value_and_grads(ad.feed_forward, values),
+                         value_and_grads(feed_forward_chain, values))
+
+    @pytest.mark.parametrize("block_values", [None, 1])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_attention_matches_chain(self, p, masked, block_values, monkeypatch):
+        # one attention row per block at 1 value; a mask from pack_rows over 7 samples
+        if block_values is not None:
+            monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(5)
+        owner, _ = md.pack_rows(np.array([6, 2, 4, 1, 3, 6, 5]))
+        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
+        pairs = attend & (owner >= 0)[:, None, :, None]
+        mask = attend if masked else None
+        values = [rng.normal(size=(owner.shape[0], 2, 6, 3)) for _ in range(3)]
+
+        def fused(q, k, v):
+            return ad.attention(q, k, v, mask, p, np.random.default_rng(9) if p else None, pairs)
+
+        def chain(q, k, v):
+            return attention_chain(q, k, v, mask, p, np.random.default_rng(9) if p else None,
+                                   pairs)
+
+        assert_same_bits(value_and_grads(fused, values), value_and_grads(chain, values))
+
+    def test_untaped_calls_keep_no_parents(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_VALUES", 1)
+        rng = np.random.default_rng(6)
+        ffn = [ad.Tensor(rng.normal(size=s)) for s in [(7, 4), (4, 8), (8,), (8, 4), (4,)]]
+        qkv = [ad.Tensor(rng.normal(size=(3, 2, 5, 2))) for _ in range(3)]
+        where = np.ones((3, 1, 5, 5), dtype=bool)
+        taped = [ad.feed_forward(*ffn),
+                 ad.attention(*qkv, None, 0.5, np.random.default_rng(7), where)]
+        with ad.no_tape():
+            untaped = [ad.feed_forward(*ffn),
+                       ad.attention(*qkv, None, 0.5, np.random.default_rng(7), where)]
+        for a, b in zip(taped, untaped):
+            assert a.parents != () and b.parents == ()
+            assert np.array_equal(a.value, b.value)
 
 
 def test_import_loads_no_scipy():
