@@ -129,12 +129,19 @@ def _history_csv(history) -> str:
 
 
 def cmd_gen(args) -> int:
-    records = gc.generate_synthetic(args.count, args.max_nodes, args.density,
-                                    args.noise, args.seed)
-    gc.write_dataset(records, args.out)
-    node_hist = Counter(r.graph.num_nodes for r in records)
-    edge_hist = Counter(r.graph.num_edges for r in records)
-    print(f"wrote {len(records)} graphs to {args.out}")
+    # the arguments are checked here, before the output file is opened
+    records = gc.iter_synthetic(args.count, args.max_nodes, args.density, args.noise, args.seed)
+    node_hist = Counter()
+    edge_hist = Counter()
+
+    def counted():  # each record is counted and written as it is generated
+        for rec in records:
+            node_hist[rec.graph.num_nodes] += 1
+            edge_hist[rec.graph.num_edges] += 1
+            yield rec
+
+    gc.write_dataset(counted(), args.out)
+    print(f"wrote {node_hist.total()} graphs to {args.out}")
     print("nodes: " + " ".join(f"{k}:{node_hist[k]}" for k in sorted(node_hist)))
     print("edges: " + " ".join(f"{k}:{edge_hist[k]}" for k in sorted(edge_hist)))
     return EXIT_OK

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,12 +65,19 @@ def check_float(value, what: str, interval: str, error=InvalidSpec) -> float:
         value = float(value)
     except OverflowError:  # an int past float's range; reported like an inf
         value = math.inf
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = value > low if interval[0] == "(" else value >= low
-    below = value < high if interval[-1] == ")" else value <= high
+    low, high, open_low, open_high = _interval(interval)
+    above = value > low if open_low else value >= low
+    below = value < high if open_high else value <= high
     if not (math.isfinite(value) and above and below):
         raise error(f"{what} must be a finite number in {interval}, got {value!r}")
     return value
+
+
+@cache
+def _interval(interval: str) -> tuple:
+    """(low, high, low is open, high is open) of an interval written like "[0, 1)"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return low, high, interval[0] == "(", interval[-1] == ")"
 
 
 @dataclass(frozen=True)
@@ -180,8 +188,8 @@ def _record_to_dict(rec: LabeledGraph) -> dict:
     d = {
         "id": rec.id,
         "num_nodes": rec.graph.num_nodes,
-        "node_ops": list(rec.graph.node_ops),
-        "edges": [list(e) for e in rec.graph.edges],
+        "node_ops": rec.graph.node_ops,  # json writes a tuple as a list
+        "edges": rec.graph.edges,
     }
     if rec.targets is not None:
         d["targets"] = {name: getattr(rec.targets, name) for name in TARGET_NAMES}
@@ -212,7 +220,7 @@ def _record_from_dict(d, line_no: int) -> LabeledGraph:
     return LabeledGraph(graph=graph, targets=targets, id=rec_id)
 
 
-def write_dataset(records: Sequence[LabeledGraph], path) -> None:
+def write_dataset(records: Iterable[LabeledGraph], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(json.dumps(_record_to_dict(rec)) + "\n")
@@ -265,11 +273,10 @@ def synthetic_targets(graph: ComputationalGraph, noise_sigma: float, rng) -> Per
     Normal(0, noise_sigma) noise.
     """
     n = graph.num_nodes
-    ops = np.asarray(graph.node_ops)
     lp = longest_path_length(graph)
     depth_term = lp / (n - 1) if n > 1 else 0.0
-    cheap_frac = float(np.mean(ops <= 5))
-    code1_frac = float(np.mean(ops == 1))
+    cheap_frac = sum(code <= 5 for code in graph.node_ops) / n
+    code1_frac = graph.node_ops.count(1) / n
     m_max = n * (n - 1) / 2
     edge_frac = graph.num_edges / m_max if m_max > 0 else 0.0
 
@@ -285,9 +292,9 @@ def synthetic_targets(graph: ComputationalGraph, noise_sigma: float, rng) -> Per
     )
 
 
-def generate_synthetic(count: int, max_nodes: int, edge_density: float,
-                       noise_sigma: float, seed: int) -> list:
-    """Generate `count` random labeled DAGs.
+def iter_synthetic(count: int, max_nodes: int, edge_density: float,
+                   noise_sigma: float, seed: int) -> Iterator[LabeledGraph]:
+    """Check the arguments, then return an iterator over `count` random labeled DAGs.
 
     Edges are drawn between positions of a random node permutation
     (lower to higher position, each pair kept with probability
@@ -299,19 +306,28 @@ def generate_synthetic(count: int, max_nodes: int, edge_density: float,
     noise_sigma = check_float(noise_sigma, "noise_sigma", "[0, inf)")
     seed = check_int(seed, "seed", 0)
 
-    rng = np.random.default_rng(seed)
-    width = len(str(count))
-    records = []
-    for k in range(count):
-        n = int(rng.integers(2, max_nodes + 1))
-        ops = rng.integers(1, NUM_PRIMITIVES + 1, size=n)
-        perm = rng.permutation(n)
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < edge_density:
-                    edges.append((int(perm[i]), int(perm[j])))
-        graph = make_graph(n, ops, edges)
-        targets = synthetic_targets(graph, noise_sigma, rng)
-        records.append(LabeledGraph(graph=graph, targets=targets, id=f"g{k:0{width}d}"))
-    return records
+    def records():
+        rng = np.random.default_rng(seed)
+        width = len(str(count))
+        upper = {}  # node count -> positions (i, j), i < j, in row-major order
+        for k in range(count):
+            n = int(rng.integers(2, max_nodes + 1))
+            ops = rng.integers(1, NUM_PRIMITIVES + 1, size=(n,))  # an int size costs an np.prod
+            perm = rng.permutation(n)
+            if n not in upper:
+                upper[n] = np.triu_indices(n, 1)
+            i, j = upper[n]
+            # one draw per pair, in the order of a loop over i, then j
+            kept = rng.random(len(i)) < edge_density
+            edges = list(zip(perm[i[kept]].tolist(), perm[j[kept]].tolist()))
+            graph = make_graph(n, ops.tolist(), edges)
+            targets = synthetic_targets(graph, noise_sigma, rng)
+            yield LabeledGraph(graph=graph, targets=targets, id=f"g{k:0{width}d}")
+
+    return records()
+
+
+def generate_synthetic(count: int, max_nodes: int, edge_density: float,
+                       noise_sigma: float, seed: int) -> list:
+    """The records of iter_synthetic as a list."""
+    return list(iter_synthetic(count, max_nodes, edge_density, noise_sigma, seed))

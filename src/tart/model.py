@@ -156,16 +156,17 @@ def pack_rows(counts: np.ndarray):
     return owner.reshape(len(fill), capacity), slots
 
 
-def _attention(x: Tensor, slots, attend, pairs: np.ndarray, p: dict,
+def _attention(x: Tensor, slots, layout: tuple, attend, pairs, p: dict,
                prefix: str, config: EncoderConfig, drop_rng) -> Tensor:
-    """Self-attention over packed rows x (T, D) in the attention rows that
-    `pairs` (rows, 1, R, R) lays out; `pairs` marks the (query, key) pairs of
-    one sample, and dropout draws for those alone. q, k and v come from one
-    fused projection, scattered once to `slots` (None when x's rows fill the
-    attention rows in order). The boolean mask `attend`, shaped like `pairs`,
-    lets a query see only its own sample's keys (a padding query sees its
-    row's padding); it is None when every pair is attended."""
-    rows, _, r, _ = pairs.shape
+    """Self-attention over packed rows x (T, D) in `layout`, (rows, R)
+    attention rows of R slots. q, k and v come from one fused projection,
+    scattered once to `slots` (None when x's rows fill the attention rows in
+    order). The boolean (rows, 1, R, R) mask `attend` lets a query see only
+    its own sample's keys (a padding query sees its row's padding); it is
+    None when every pair is attended. `pairs`, shaped like `attend`, marks
+    the (query, key) pairs of one sample, and dropout draws for those alone;
+    it is None when drop_rng is."""
+    rows, r = layout
     d = x.shape[1]
     h = config.n_heads
     dh = d // h
@@ -217,7 +218,7 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     # a query attends the keys of its own owner, so a padding query keeps its row's padding
     attend = (owner[:, :, None] == owner[:, None, :])[:, None]
     # a real pair's query and key belong to one sample; dropout draws for real pairs only
-    pairs = attend & (owner >= 0)[:, None, :, None]
+    pairs = None if drop_rng is None else attend & (owner >= 0)[:, None, :, None]
     if attend.all():
         attend = None  # every graph fills its attention rows alone
     if np.array_equal(slots, np.arange(owner.size)):
@@ -226,7 +227,8 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        attn = _attention(normed, slots, attend, pairs, p, f"layer{i}.attn", cfg, drop_rng)
+        attn = _attention(normed, slots, owner.shape, attend, pairs, p, f"layer{i}.attn",
+                          cfg, drop_rng)
         x = ad.add(x, ad.dropout(attn, cfg.dropout_p, drop_rng))
 
         normed = ad.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])

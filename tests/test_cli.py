@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import struct
@@ -78,12 +79,29 @@ class TestGen:
         (["--noise", "inf"], "noise_sigma"), (["--seed", "-1"], "--seed"),
     ], ids=["density-0", "noise-nan", "noise-inf", "seed-minus-1"])
     def test_zero_density_exit_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x.jsonl"
+        out.write_text("old\n")
         try:
-            code = cli.main(["gen", *flags, "--out", str(tmp_path / "x.jsonl")])
+            code = cli.main(["gen", *flags, "--out", str(out)])
         except SystemExit as exc:  # argparse rejects a bad --seed before gen runs
             code = exc.code
         assert code == 2
         assert named in capsys.readouterr().err
+        assert out.read_text() == "old\n"  # checked before the file is opened
+
+    def test_histograms_and_bytes_are_pinned(self, tmp_path, capsys):
+        # stdout and file SHA-256 as written before gen streamed its records
+        out = tmp_path / "d.jsonl"
+        code, stdout, _ = run(capsys, "gen", "--count", "40", "--max-nodes", "16",
+                              "--seed", "7", "--out", str(out))
+        assert code == 0
+        assert stdout == (
+            f"wrote 40 graphs to {out}\n"
+            "nodes: 2:2 3:4 4:4 5:5 6:3 7:4 8:1 9:1 10:1 11:1 12:3 13:3 14:2 15:2 16:4\n"
+            "edges: 0:5 2:3 3:3 4:3 5:3 6:2 8:2 9:1 12:1 13:1 14:2 16:1 17:1 18:1 19:1 "
+            "22:1 23:1 29:2 30:2 32:1 35:1 41:2\n")
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "2e6629b07f366af8d14b97e1b4dd09f0e7310186a10c2decb130ebc673719c46")
 
     def test_invalid_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         # TART_SEED is --seed's default, so it gets the same check

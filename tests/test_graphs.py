@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -402,6 +403,31 @@ class TestSynthetic:
         with pytest.raises(gc.InvalidSpec):
             gc.generate_synthetic(**{"seed": 0, **kwargs})
 
+    # SHA-256 of what write_dataset wrote from these arguments when generate_synthetic
+    # still drew each node pair's edge with its own rng.random() call
+    @pytest.mark.parametrize("args,digest", [
+        ((400, 16, 0.3, 0.02, 42),
+         "269101d49e43612a397da262a4f35dac3381bc720871db0190417cd3735a8d6a"),
+        ((1500, 32, 0.3, 0.02, 0),
+         "106ad36a47b84dd7a3a02229c2b9ba734fa1538554ec5b2fe561a0aea9697165"),
+        ((50, 2, 1.0, 0.5, 1),
+         "4079772a5c8df6e06636dce43f46a05d7c38d680548d4c2831ee32f6649cd21c"),
+        ((200, 40, 0.9, 0.0, 3),
+         "547450db5b1d4253ce04b97ffb18246dcd3a669826fc30fbd6f42023f7dbc4ce"),
+        ((30, 7, 0.05, 1.5, 9),
+         "5ecb8504ef86bfb5fbab49f5cd4fb397166f76f12cd24b7fb732bbd1f909d130"),
+        ((100, 3, 0.5, 0.0, 0),
+         "d7da3bdf675ab1d92975232fbeb95016f536e715f2bfd3224abfaa6017032b50"),
+    ], ids=str)
+    def test_written_bytes_are_pinned(self, tmp_path, args, digest):
+        path = tmp_path / "d.jsonl"
+        gc.write_dataset(gc.generate_synthetic(*args), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_iterator_checks_its_arguments_at_once(self):
+        with pytest.raises(gc.InvalidSpec, match="edge_density"):
+            gc.iter_synthetic(5, 8, 0.0, 0.0, 0)  # raises before a record is asked for
+
     def test_numeric_density_and_noise_accepted(self):
         assert (gc.generate_synthetic(3, 6, 1, 0, 0)
                 == gc.generate_synthetic(3, 6, np.float32(1.0), np.int64(0), 0)
@@ -428,3 +454,9 @@ class TestCheckFloat:
 
         with pytest.raises(CallerError, match="x must be"):
             gc.check_float(value, "x", interval, CallerError)
+
+    def test_message_names_the_interval_as_written(self):
+        for _ in range(2):  # the interval is parsed on the first call only
+            with pytest.raises(gc.InvalidSpec) as exc:
+                gc.check_float(0.0, "x", "(0,  1]")
+            assert str(exc.value) == "x must be a finite number in (0,  1], got 0.0"

@@ -388,6 +388,22 @@ class TestPassMemory:
 
         assert self.peak_mib(forward) < 16
 
+    def test_eval_forward_builds_no_dropout_pairs(self, scored):
+        # the 64 longest graphs of `tart gen --count 2500 --max-nodes 32 --seed 5`, R = 199:
+        # 32.4 MiB measured, 34.8 MiB with the (rows, 1, R, R) dropout pairs built in eval
+        model, _ = scored
+        graphs = [r.graph for r in tart.generate_synthetic(2500, 32, 0.3, 0.02, 5)]
+        longest = sorted(graphs, key=lambda g: g.num_nodes + g.num_edges)[-64:]
+        mats = tk.tokenize_many(longest, "tart")
+        batch = tk.pad_batch(mats, len(mats[-1]))
+        assert batch.tokens.shape[1] == 199
+
+        def forward():
+            with ad.no_tape():
+                md.encoder_forward(model, batch.tokens, batch.mask)
+
+        assert self.peak_mib(forward) < 33.5
+
     def test_two_thread_predict(self, scored, monkeypatch):
         # 1,024 graphs' tokens included: 17.2-18.0 MiB measured, 41.7-49.3 MiB without
         # row blocks
