@@ -2,12 +2,14 @@
 
 Just enough ops for a transformer encoder: linear maps, batched matmul, layer
 norm, masked softmax, GELU in its tanh form (arXiv:1606.08415), dropout, the
-feed-forward net and attention fused from those, concatenation and unstacking,
-row gather and scatter, mean pooling over packed rows, and the elementwise
-arithmetic needed for losses. Each op records vector-Jacobian closures;
-backward() walks the tape in reverse topological order. Inside no_tape() a
-thread records nothing, so an eval forward frees each intermediate once the
-next op has read it, and a fused op holds one row block's temporaries at a time.
+feed-forward net and the self-attention sublayer (projections, score loop and
+output projection) fused from those, mean pooling over packed rows, and the
+elementwise arithmetic needed for losses. Each op records vector-Jacobian
+closures; backward() walks the tape in reverse topological order. A fused op
+is one Tensor with its own vjps, so an encoder layer builds six Tensors, not
+one per elementary step. Inside no_tape() a thread records nothing, so an
+eval forward frees each intermediate once the next op has read it, and a
+fused op holds one row block's temporaries at a time.
 """
 from __future__ import annotations
 
@@ -122,28 +124,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
     return Tensor(a.value.transpose(axes), ((a, lambda g: g.transpose(inverse)),))
-
-
-def concat(tensors) -> Tensor:
-    """The tensors joined along their last axis."""
-    parents, start = [], 0
-    for t in tensors:
-        end = start + t.value.shape[-1]
-        parents.append((t, lambda g, start=start, end=end: g[..., start:end]))
-        start = end
-    return Tensor(np.concatenate([t.value for t in tensors], axis=-1), tuple(parents))
-
-
-def unstack(x: Tensor) -> tuple:
-    """The tensors x[0], x[1], ... along the first axis."""
-    def piece(i):
-        def vjp(g):
-            out = np.zeros(x.value.shape)
-            out[i] = g
-            return out
-        return vjp
-
-    return tuple(Tensor(x.value[i], ((x, piece(i)),)) for i in range(x.value.shape[0]))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -342,44 +322,33 @@ def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, p: float, rng, where) -> Tensor:
-    """matmul(dropout(softmax_masked(q k^T, mask), p, rng, where), v), bit for bit.
+def _attend(q, k, v, mask, p: float, rng, where, taped: bool):
+    """The context matmul(dropout(softmax(q k^T over mask), p, rng, where), v) of
+    (rows, H, R, d) arrays q, k and v, with the probabilities and the dropout
+    factors (None untaped, or without rng) that its vjps read.
 
-    q, k and v are (rows, H, R, d); mask (None: attend every entry) and
-    where are boolean (rows, 1, R, R) or (rows, H, R, R) arrays. The scores
-    run in blocks of whole attention rows, BLOCK_VALUES // (H R^2) of them
-    (at least one), and each block draws its dropout in row-major order,
-    which continues the one draw over all the scores. Untaped, only one
-    block's scores exist at a time; taped, the blocks fill the whole
-    probability (and dropout) arrays that the vjps read.
+    The scores run in blocks of whole attention rows, BLOCK_VALUES // (H R^2)
+    of them (at least one), and each block draws its dropout in row-major
+    order, which continues the one draw over all the scores. Untaped, only
+    one block's scores exist at a time.
     """
-    rows, h, r, _ = q.value.shape
-    taped = _tape.recording
+    rows, h, r, _ = q.shape
     probs = np.empty((rows, h, r, r)) if taped else None
     keep = np.empty(probs.shape) if taped and rng is not None else None
-    ctx = np.empty(v.value.shape)
+    ctx = np.empty(v.shape)
     step = max(1, BLOCK_VALUES // (h * r * r))
     for start in range(0, rows, step):
         at = slice(start, start + step)
-        block = _softmax(q.value[at] @ np.swapaxes(k.value[at], -1, -2),
-                         None if mask is None else mask[at])
+        block = _softmax(q[at] @ np.swapaxes(k[at], -1, -2), None if mask is None else mask[at])
         if taped:
             probs[at] = block
         if rng is not None:
-            block_keep = _dropout_keep(block.shape, p, rng, where[at])
+            block_keep = _dropout_keep(block.shape, p, rng, True if where is None else where[at])
             if taped:
                 keep[at] = block_keep
             block *= block_keep
-        np.matmul(block, v.value[at], out=ctx[at])
-
-    def drop(a):
-        return a if keep is None else a * keep
-
-    d_scores = _once(lambda g: _softmax_vjp(probs, drop(g @ np.swapaxes(v.value, -1, -2))))
-    return Tensor(ctx, ((q, lambda g: d_scores(g) @ k.value),
-                        (k, lambda g: np.swapaxes(
-                            np.swapaxes(q.value, -1, -2) @ d_scores(g), -1, -2)),
-                        (v, lambda g: np.swapaxes(drop(probs), -1, -2) @ g)))
+        np.matmul(block, v[at], out=ctx[at])
+    return ctx, probs, keep
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -388,16 +357,79 @@ def _scatter(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Rows x[index] of x (N, ...); index holds distinct row numbers. Each of
-    gather_rows and scatter_rows is the vjp of the other."""
-    n = x.value.shape[0]
-    return Tensor(x.value[index], ((x, lambda g: _scatter(g, index, n)),))
+def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
+                   p: float, rng, where) -> Tensor:
+    """Multi-head self-attention over packed rows x (T, D), through the output
+    projection; weights are the Tensors (wq, bq, wk, bk, wv, bv, wo, bo).
 
+    q, k and v come from one projection by [c wq | wk | wv] and [c bq | bk |
+    bv], c = 1 / sqrt(D / n_heads), so the scores need no scale. Its rows are
+    scattered to the flat `slots` of `layout`'s (rows, R) attention rows
+    (slots None: x's rows fill them in order), and gathered back after the
+    heads merge. The boolean (rows, 1, R, R) mask lets a query see only the
+    keys it marks (None: every key); dropout draws, from rng, for the scores
+    that `where`, shaped like mask, marks (None: every score). Bit for bit,
+    value and gradients are those of the chain of scale, concat, linear,
+    scatter, reshape, transpose, unstack, scores, softmax_masked, dropout,
+    context, transpose, reshape, gather and linear ops that it fuses; the
+    score loop runs in row blocks (see _attend). Untaped, the scattered
+    q, k, v and the head-major context are freed before the output rows are
+    built.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    rows, r = layout
+    d = x.value.shape[1]
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+    w = np.concatenate([wq.value * c, wk.value, wv.value], axis=-1)
+    qkv = x.value @ w
+    qkv += np.concatenate([bq.value * c, bk.value, bv.value])
+    if slots is not None:
+        qkv = _scatter(qkv, slots, rows * r)
+    q, k, v = qkv.reshape(rows, r, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    taped = _tape.recording
+    ctx, probs, keep = _attend(q, k, v, mask, p, rng, where, taped)
+    if not taped:
+        del qkv, q, k, v
+    merged = ctx.transpose(0, 2, 1, 3).reshape(rows * r, d)
+    del ctx
+    if slots is not None:
+        merged = merged[slots]
+    y = merged @ wo.value
+    y += bo.value
+    if not taped:
+        return Tensor(y)
 
-def scatter_rows(x: Tensor, index: np.ndarray, n: int) -> Tensor:
-    """An (n, ...) tensor, zero except row index[i] = x[i]; index holds distinct row numbers."""
-    return Tensor(_scatter(x.value, index, n), ((x, lambda g: g[index]),))
+    def drop(a):
+        return a if keep is None else a * keep
+
+    def backward_rows(g):
+        """The gradients of x, of the joined q/k/v weights and of their bias."""
+        d_ctx = g @ wo.value.T
+        if slots is not None:
+            d_ctx = _scatter(d_ctx, slots, rows * r)
+        d_ctx = d_ctx.reshape(rows, r, n_heads, dh).transpose(0, 2, 1, 3)
+        d_scores = _softmax_vjp(probs, drop(d_ctx @ np.swapaxes(v, -1, -2)))
+        d_qkv = np.empty((rows, r, 3, n_heads, dh))
+        dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
+        dq[...] = d_scores @ k
+        dk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ d_scores, -1, -2)
+        dv[...] = np.swapaxes(drop(probs), -1, -2) @ d_ctx
+        d_qkv = d_qkv.reshape(rows * r, 3 * d)
+        if slots is not None:
+            d_qkv = d_qkv[slots]
+        return d_qkv @ w.T, x.value.T @ d_qkv, d_qkv.sum(axis=0)
+
+    shared = _once(backward_rows)
+    return Tensor(y, ((x, lambda g: shared(g)[0]),
+                      (wq, lambda g: shared(g)[1][:, :d] * c),
+                      (bq, lambda g: shared(g)[2][:d] * c),
+                      (wk, lambda g: shared(g)[1][:, d:2 * d]),
+                      (bk, lambda g: shared(g)[2][d:2 * d]),
+                      (wv, lambda g: shared(g)[1][:, 2 * d:]),
+                      (bv, lambda g: shared(g)[2][2 * d:]),
+                      (wo, lambda g: merged.T @ g),
+                      (bo, lambda g: g.sum(axis=0))))
 
 
 def masked_mean(x: Tensor, counts: np.ndarray) -> Tensor:

@@ -3,14 +3,17 @@
 Pre-layer-norm encoder blocks (masked multi-head self-attention +
 feed-forward with the tanh form of GELU, both residual), mean pooling over
 real tokens, and a single linear head mapping to the four performance
-targets. The encoder runs on packed rows: a batch's real token rows are
-gathered into one (T, ·) array, so projections, layer norms, the
+targets. Each sublayer is one autodiff op (autodiff.self_attention and
+autodiff.feed_forward). The encoder runs on packed rows: a batch's real token
+rows are gathered into one (T, ·) array, so projections, layer norms, the
 feed-forward net, residual adds and pooling never touch padding. Attention's
 score, softmax and context matmuls run on block-diagonal rows: the batch's
 samples are packed, first-fit decreasing, into as few rows of the longest
 sample's length as they fit, and a boolean block-diagonal mask lets each
 query see only its own sample's keys (Krell et al., arXiv:2107.02027); the
-softmax exponentiates only the pairs it lets through.
+softmax exponentiates only the pairs it lets through. When every sample
+fills its own row (one graph, or graphs of one length), the rows are the
+batch reshaped, and nothing is packed, masked or scattered.
 """
 from __future__ import annotations
 
@@ -156,35 +159,6 @@ def pack_rows(counts: np.ndarray):
     return owner.reshape(len(fill), capacity), slots
 
 
-def _attention(x: Tensor, slots, layout: tuple, attend, pairs, p: dict,
-               prefix: str, config: EncoderConfig, drop_rng) -> Tensor:
-    """Self-attention over packed rows x (T, D) in `layout`, (rows, R)
-    attention rows of R slots. q, k and v come from one fused projection,
-    scattered once to `slots` (None when x's rows fill the attention rows in
-    order). The boolean (rows, 1, R, R) mask `attend` lets a query see only
-    its own sample's keys (a padding query sees its row's padding); it is
-    None when every pair is attended. `pairs`, shaped like `attend`, marks
-    the (query, key) pairs of one sample, and dropout draws for those alone;
-    it is None when drop_rng is."""
-    rows, r = layout
-    d = x.shape[1]
-    h = config.n_heads
-    dh = d // h
-    c = 1.0 / np.sqrt(dh)  # in q's weights, so the (rows, H, R, R) scores need no scale
-    w = ad.concat([ad.scale(p[f"{prefix}.wq"], c), p[f"{prefix}.wk"], p[f"{prefix}.wv"]])
-    b = ad.concat([ad.scale(p[f"{prefix}.bq"], c), p[f"{prefix}.bk"], p[f"{prefix}.bv"]])
-    qkv = ad.linear(x, w, b)
-    if slots is not None:
-        qkv = ad.scatter_rows(qkv, slots, rows * r)
-    q, k, v = ad.unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, h, dh)), (2, 0, 3, 1, 4)))
-
-    ctx = ad.attention(q, k, v, attend, config.dropout_p, drop_rng, pairs)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (rows * r, d))
-    if slots is not None:
-        ctx = ad.gather_rows(ctx, slots)
-    return ad.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-
-
 def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
                     train: bool = False, dropout_seed: int = 0) -> Tensor:
     """Predict targets for a padded batch.
@@ -214,21 +188,26 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 
     drop_rng = np.random.default_rng(dropout_seed) if (train and cfg.dropout_p > 0) else None
 
-    owner, slots = pack_rows(counts)
-    # a query attends the keys of its own owner, so a padding query keeps its row's padding
-    attend = (owner[:, :, None] == owner[:, None, :])[:, None]
-    # a real pair's query and key belong to one sample; dropout draws for real pairs only
-    pairs = None if drop_rng is None else attend & (owner >= 0)[:, None, :, None]
-    if attend.all():
-        attend = None  # every graph fills its attention rows alone
-    if np.array_equal(slots, np.arange(owner.size)):
-        slots = None  # scattering would copy the rows unchanged
-    x = ad.linear(Tensor(tokens[mask]), p["input_proj.w"], p["input_proj.b"])
+    b, width = mask.shape
+    if np.all(counts == width):
+        # every sample fills its own attention row: nothing to pack, mask or scatter
+        layout, slots, attend, pairs = (b, width), None, None, None
+        rows = tokens.reshape(b * width, tokens.shape[-1])
+    else:
+        owner, slots = pack_rows(counts)
+        layout = owner.shape
+        # a query attends the keys of its own owner, so a padding query keeps its row's padding
+        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
+        # a real pair's query and key belong to one sample; dropout draws for real pairs only
+        pairs = None if drop_rng is None else attend & (owner >= 0)[:, None, :, None]
+        rows = tokens[mask]
+    x = ad.linear(Tensor(rows), p["input_proj.w"], p["input_proj.b"])
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        attn = _attention(normed, slots, owner.shape, attend, pairs, p, f"layer{i}.attn",
-                          cfg, drop_rng)
+        weights = [p[f"layer{i}.attn.{kind}{part}"] for part in "qkvo" for kind in "wb"]
+        attn = ad.self_attention(normed, weights, cfg.n_heads, layout, slots, attend,
+                                 cfg.dropout_p, drop_rng, pairs)
         x = ad.add(x, ad.dropout(attn, cfg.dropout_p, drop_rng))
 
         normed = ad.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])

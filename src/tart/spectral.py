@@ -41,12 +41,13 @@ def edge_keys(graphs, n: int) -> np.ndarray:
                        np.intp)
 
 
-def build_normalized_laplacian(graphs) -> np.ndarray:
+def build_normalized_laplacian(graphs, keys=None) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2} on the symmetrized adjacency: (n, n) for one
     graph, (b, n, n) for a sequence of b graphs of n nodes each.
 
     Rows and columns of isolated nodes are entirely zero (including the
-    diagonal), so isolated nodes contribute a zero eigenvalue each.
+    diagonal), so isolated nodes contribute a zero eigenvalue each. keys, in
+    any order, are the graphs' edge_keys, from a caller that needs them too.
     """
     one = isinstance(graphs, ComputationalGraph)
     stack = [graphs] if one else list(graphs)
@@ -55,7 +56,7 @@ def build_normalized_laplacian(graphs) -> np.ndarray:
         raise ValueError(f"a stack needs graphs of one node count, got {sorted(sizes)}")
     n = sizes.pop()
     a = np.zeros((len(stack), n, n))
-    a.reshape(-1)[edge_keys(stack, n)] = 1.0
+    a.reshape(-1)[edge_keys(stack, n) if keys is None else keys] = 1.0
     a += a.swapaxes(1, 2)  # a DAG never holds both (u, v) and (v, u), so entries stay 0 or 1
     degree = np.add.reduce(a, axis=2)
     nonzero = degree > 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -61,14 +61,14 @@ def tokenize_lap(graphs, d_p: int) -> list:
     a sequence of graphs of one node count: one Laplacian stack, one eigensolver call."""
     d_p = check_int(d_p, "d_p", 0, TokenizerError)
     stack = list(graphs)
-    # looked up on the module, so wrappers installed there (such as a tracer) see the calls
-    P = spectral.lap_features(spectral.build_normalized_laplacian(stack), d_p).P
-    b, n = P.shape[:2]
-    P = P.reshape(b * n, d_p)
-    nodes = _node_rows(np.fromiter(chain.from_iterable(g.node_ops for g in stack), np.intp), P)
+    n = stack[0].num_nodes if stack else 0  # the Laplacian rejects an empty or mixed stack
     # one sort over (graph, u, v): each graph's edges in lexicographic order, graph by graph
     keys = spectral.edge_keys(stack, n)
     keys.sort()
+    # looked up on the module, so wrappers installed there (such as a tracer) see the calls
+    P = spectral.lap_features(spectral.build_normalized_laplacian(stack, keys), d_p).P
+    P = P.reshape(len(stack) * n, d_p)
+    nodes = _node_rows(np.fromiter(chain.from_iterable(g.node_ops for g in stack), np.intp), P)
     tail, v = np.divmod(keys, n)
     u = tail % n  # tail = graph * n + u, the row of u in P and in nodes
     edges = nodes[tail]  # u's positional block is already in place
@@ -78,9 +78,11 @@ def tokenize_lap(graphs, d_p: int) -> list:
     edges[:, -3] = 0.0
     edges[:, -2] = u
     edges[:, -1] = v
-    ends = accumulate(g.num_edges for g in stack)
-    return [np.concatenate([nodes[i * n:(i + 1) * n], edges[end - g.num_edges:end]])
-            for i, (g, end) in enumerate(zip(stack, ends))]
+    matrices, end = [], 0
+    for i, g in enumerate(stack):
+        start, end = end, end + g.num_edges
+        matrices.append(np.concatenate([nodes[i * n:(i + 1) * n], edges[start:end]]))
+    return matrices
 
 
 def decode_row_kinds(matrix: np.ndarray) -> tuple:

@@ -95,6 +95,46 @@ def rewrite_header(blob, header):
     return blob[:11] + struct.pack("<I", len(cfg_json)) + cfg_json + blob[15 + cfg_len:]
 
 
+def concat(tensors):
+    """The tensors joined along their last axis."""
+    parents, start = [], 0
+    for t in tensors:
+        end = start + t.value.shape[-1]
+        parents.append((t, lambda g, start=start, end=end: g[..., start:end]))
+        start = end
+    return ad.Tensor(np.concatenate([t.value for t in tensors], axis=-1), tuple(parents))
+
+
+def unstack(x):
+    """The tensors x[0], x[1], ... along the first axis."""
+    def piece(i):
+        def vjp(g):
+            out = np.zeros(x.value.shape)
+            out[i] = g
+            return out
+        return vjp
+
+    return tuple(ad.Tensor(x.value[i], ((x, piece(i)),)) for i in range(x.value.shape[0]))
+
+
+def scatter(values, index, n):
+    out = np.zeros((n,) + values.shape[1:])
+    out[index] = values
+    return out
+
+
+def gather_rows(x, index):
+    """Rows x[index] of x (N, ...); index holds distinct row numbers. Each of
+    gather_rows and scatter_rows is the vjp of the other."""
+    n = x.value.shape[0]
+    return ad.Tensor(x.value[index], ((x, lambda g: scatter(g, index, n)),))
+
+
+def scatter_rows(x, index, n):
+    """An (n, ...) tensor, zero except row index[i] = x[i]; index holds distinct row numbers."""
+    return ad.Tensor(scatter(x.value, index, n), ((x, lambda g: g[index]),))
+
+
 class TestAutodiffOps:
     def check_op(self, build, shapes, seed=0, eps=1e-6, tol=1e-7):
         rng = np.random.default_rng(seed)
@@ -136,12 +176,15 @@ class TestAutodiffOps:
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_attention(self, p):
-        # two attention rows, the first shared by samples of 3 and 1 tokens
-        owner = np.array([[0, 0, 0, 1], [2, 2, 2, 2]])
+        # two attention rows, the first shared by samples of 3 and 1 tokens, the second
+        # holding a sample of 2 and two padding slots
+        owner, slots = md.pack_rows(np.array([3, 1, 2]))
         attend = (owner[:, :, None] == owner[:, None, :])[:, None]
-        self.check_op(lambda q, k, v: ad.attention(
-            q, k, v, attend, p, np.random.default_rng(3) if p else None, attend),
-            [(2, 2, 4, 3)] * 3)
+        pairs = attend & (owner >= 0)[:, None, :, None]
+        self.check_op(lambda x, *weights: ad.self_attention(
+            x, weights, 2, owner.shape, slots, attend, p,
+            np.random.default_rng(3) if p else None, pairs),
+            [(6, 4)] + [(4, 4), (4,)] * 4)
 
     def test_masked_mean(self):
         # two samples packed as rows 0-1 and 2-4
@@ -150,26 +193,27 @@ class TestAutodiffOps:
         pooled = ad.masked_mean(ad.Tensor(x), np.array([2, 3])).value
         assert np.allclose(pooled, [x[:2].mean(axis=0), x[2:].mean(axis=0)], atol=1e-15)
 
+    # the reference ops of self_attention's chain
     def test_gather_rows(self):
-        self.check_op(lambda x: ad.gather_rows(x, np.array([3, 0, 2])), [(5, 4)])
+        self.check_op(lambda x: gather_rows(x, np.array([3, 0, 2])), [(5, 4)])
 
     def test_scatter_rows(self):
-        self.check_op(lambda x: ad.scatter_rows(x, np.array([3, 0, 2]), 5), [(3, 4)])
+        self.check_op(lambda x: scatter_rows(x, np.array([3, 0, 2]), 5), [(3, 4)])
 
     def test_concat(self):
-        self.check_op(lambda a, b: ad.concat([a, ad.scale(b, 3.0), a]), [(2, 3), (2, 4)])
+        self.check_op(lambda a, b: concat([a, ad.scale(b, 3.0), a]), [(2, 3), (2, 4)])
 
     def test_unstack(self):
         # the middle piece is unused, so its part of the gradient is zero
-        self.check_op(lambda x: ad.add(ad.unstack(x)[0], ad.scale(ad.unstack(x)[2], 2.0)),
+        self.check_op(lambda x: ad.add(unstack(x)[0], ad.scale(unstack(x)[2], 2.0)),
                       [(3, 2, 4)])
 
     def test_scatter_then_gather_is_identity(self):
         x = np.random.default_rng(2).normal(size=(3, 2, 2))
         index = np.array([4, 1, 2])
-        padded = ad.scatter_rows(ad.Tensor(x), index, 6)
+        padded = scatter_rows(ad.Tensor(x), index, 6)
         assert np.array_equal(padded.value[[0, 3, 5]], np.zeros((3, 2, 2)))
-        assert np.array_equal(ad.gather_rows(padded, index).value, x)
+        assert np.array_equal(gather_rows(padded, index).value, x)
 
     def test_shared_input_accumulates(self):
         x = ad.Tensor(np.array([1.5]))
@@ -295,9 +339,25 @@ def feed_forward_chain(x, w1, b1, w2, b2):
     return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
 
 
-def attention_chain(q, k, v, mask, p, rng, where):
+def attention_chain(x, weights, n_heads, layout, slots, mask, p, rng, where):
+    """The op chain that self_attention fuses."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    rows, r = layout
+    d = x.shape[1]
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+    w = concat([ad.scale(wq, c), wk, wv])
+    b = concat([ad.scale(bq, c), bk, bv])
+    qkv = ad.linear(x, w, b)
+    if slots is not None:
+        qkv = scatter_rows(qkv, slots, rows * r)
+    q, k, v = unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, n_heads, dh)), (2, 0, 3, 1, 4)))
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-    return ad.matmul(ad.dropout(ad.softmax_masked(scores, mask), p, rng, where), v)
+    probs = ad.dropout(ad.softmax_masked(scores, mask), p, rng, True if where is None else where)
+    ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
+    if slots is not None:
+        ctx = gather_rows(ctx, slots)
+    return ad.linear(ctx, wo, bo)
 
 
 def value_and_grads(build, values):
@@ -334,36 +394,43 @@ class TestFusedOps:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_attention_matches_chain(self, p, masked, block_values, monkeypatch):
-        # one attention row per block at 1 value; a mask from pack_rows over 7 samples
+        # one attention row per block at 1 value; the layout pack_rows gives 7 samples,
+        # with x holding only their rows (scattered to slots) or one row per slot
         if block_values is not None:
             monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(5)
-        owner, _ = md.pack_rows(np.array([6, 2, 4, 1, 3, 6, 5]))
+        owner, packed = md.pack_rows(np.array([6, 2, 4, 1, 3, 6, 5]))
         attend = (owner[:, :, None] == owner[:, None, :])[:, None]
         pairs = attend & (owner >= 0)[:, None, :, None]
         mask = attend if masked else None
-        values = [rng.normal(size=(owner.shape[0], 2, 6, 3)) for _ in range(3)]
+        weights = [rng.normal(size=(8, 8)) if i % 2 == 0 else rng.normal(size=8)
+                   for i in range(8)]
+        for slots in (packed, None):
+            x = rng.normal(size=(owner.size if slots is None else packed.size, 8))
 
-        def fused(q, k, v):
-            return ad.attention(q, k, v, mask, p, np.random.default_rng(9) if p else None, pairs)
+            def run(op):
+                def build(x, *weights):
+                    return op(x, weights, 2, owner.shape, slots, mask, p,
+                              np.random.default_rng(9) if p else None, pairs)
+                return build
 
-        def chain(q, k, v):
-            return attention_chain(q, k, v, mask, p, np.random.default_rng(9) if p else None,
-                                   pairs)
-
-        assert_same_bits(value_and_grads(fused, values), value_and_grads(chain, values))
+            assert_same_bits(value_and_grads(run(ad.self_attention), [x] + weights),
+                             value_and_grads(run(attention_chain), [x] + weights))
 
     def test_untaped_calls_keep_no_parents(self, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_VALUES", 1)
         rng = np.random.default_rng(6)
         ffn = [ad.Tensor(rng.normal(size=s)) for s in [(7, 4), (4, 8), (8,), (8, 4), (4,)]]
-        qkv = [ad.Tensor(rng.normal(size=(3, 2, 5, 2))) for _ in range(3)]
-        where = np.ones((3, 1, 5, 5), dtype=bool)
-        taped = [ad.feed_forward(*ffn),
-                 ad.attention(*qkv, None, 0.5, np.random.default_rng(7), where)]
+        x = ad.Tensor(rng.normal(size=(15, 4)))
+        weights = [ad.Tensor(rng.normal(size=(4, 4) if i % 2 == 0 else 4)) for i in range(8)]
+
+        def attention():
+            return ad.self_attention(x, weights, 2, (3, 5), None, None, 0.5,
+                                     np.random.default_rng(7), None)
+
+        taped = [ad.feed_forward(*ffn), attention()]
         with ad.no_tape():
-            untaped = [ad.feed_forward(*ffn),
-                       ad.attention(*qkv, None, 0.5, np.random.default_rng(7), where)]
+            untaped = [ad.feed_forward(*ffn), attention()]
         for a, b in zip(taped, untaped):
             assert a.parents != () and b.parents == ()
             assert np.array_equal(a.value, b.value)
@@ -568,6 +635,25 @@ class TestForward:
                                           train=True, dropout_seed=3)
         assert np.max(np.abs(preds.value - preds_padded.value)) <= 1e-12
 
+    def test_one_graph_eval_forward_builds_16_tensors(self, monkeypatch):
+        # the benchmark's model shape: per layer, two layer norms, the attention and
+        # feed-forward ops and two residual adds; then input rows and projection, pooling
+        # and head. Each Tensor is a Python-level op, the fixed cost of a one-graph request
+        model = md.init_model(md.EncoderConfig(n_layer=2, d_model=32, n_heads=4, d_ff=256),
+                              seed=0)
+        tokens = np.random.default_rng(0).normal(size=(1, 15, 11))
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting)
+        with ad.no_tape():
+            md.encoder_forward(model, tokens, np.ones((1, 15), dtype=bool))
+        assert len(built) == 16
+
     def test_shape_mismatch(self):
         model = md.init_model(tiny_config(), seed=0)
         with pytest.raises(md.ModelError,
@@ -640,6 +726,27 @@ class TestPacking:
         for name, g in grads.items():
             mean = np.mean([single[name] for single in singles], axis=0)
             assert np.max(np.abs(g - mean)) <= 1e-12 * largest, name
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_equal_length_batch_skips_packing_bit_for_bit(self, train, monkeypatch):
+        # graphs that fill their own rows take their rows with a reshape; one more,
+        # all-padding, column sends the same batch through pack_rows and the masks
+        rng = np.random.default_rng(18)
+        model = md.init_model(tiny_config(dropout_p=0.1), seed=12)
+        tokens = rng.normal(size=(3, 5, 11))
+        z = rng.normal(size=(3, 4))
+
+        def run(tokens, mask):
+            preds = md.encoder_forward(model, tokens, mask, train=train, dropout_seed=5)
+            ad.backward(md.loss_mse(preds, z))
+            return [preds.value] + [param.grad for param in model.params.values()]
+
+        padded = run(np.concatenate([tokens, np.zeros((3, 1, 11))], axis=1),
+                     np.arange(6) < np.full((3, 1), 5))
+        with monkeypatch.context() as patch:
+            patch.setattr(md, "pack_rows", None)
+            alone = run(tokens, np.ones((3, 5), dtype=bool))
+        assert_same_bits(alone, padded)
 
     def test_packing_halves_attention_work_on_training_batches(self):
         # the train benchmark's corpus and train_predictor's batches for seed 0, batch
