@@ -303,6 +303,8 @@ def softmax_masked(scores: Tensor, mask) -> Tensor:
 def _dropout_keep(shape, p: float, rng, where) -> np.ndarray:
     """0 or 1 / (1 - p) for each entry; only the entries selected by `where`
     draw from rng, in row-major order, and every other entry is 0."""
+    if where is True:  # every entry draws: the same values without the mask scatter
+        return (rng.random(shape) >= p) / (1.0 - p)
     where = np.broadcast_to(where, shape)
     keep = np.zeros(shape)
     keep[where] = (rng.random(np.count_nonzero(where)) >= p) / (1.0 - p)

@@ -3,7 +3,8 @@
 A computational graph is a DAG whose nodes carry one of 15 operator
 primitive codes and whose edges describe forward activation flow. A graph
 is checked when it is built, `dataclasses.replace` copies included, so
-every instance is valid and carries its own topological order.
+every instance is valid and carries its own topological order. Graphs share
+one tuple per edge (u, v), so a parsed record holds no copy of its edges' pairs.
 Datasets are stored as JSONL, one labeled graph per line; read_dataset raises
 ParseError for any faulty line, naming the line and, once parsed, the record id.
 """
@@ -80,7 +81,13 @@ def _interval(interval: str) -> tuple:
     return low, high, interval[0] == "(", interval[-1] == ")"
 
 
-@dataclass(frozen=True)
+# The one tuple every graph holds for an edge (u, v): at most 2**16 pairs, about 6.3 MB,
+# so every pair of a graph of <= 256 nodes fits. A graph that could overfill it adds none.
+EDGE_CACHE_SIZE = 2**16
+_edge_cache = {}
+
+
+@dataclass(frozen=True, slots=True)
 class ComputationalGraph:
     """A valid DAG: fields are converted to ints and checked on construction."""
     num_nodes: int
@@ -104,23 +111,26 @@ class ComputationalGraph:
             if not 1 <= code <= NUM_PRIMITIVES:
                 raise InvalidSpec(f"node {i}: op code {code!r} outside [1, {NUM_PRIMITIVES}]")
         seen = set()
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InvalidSpec(f"edge ({u}, {v}): endpoint out of range or self-loop")
-            if (u, v) in seen:
+            if e in seen:
                 raise InvalidSpec(f"edge ({u}, {v}) appears more than once")
-            seen.add((u, v))
+            seen.add(e)
         object.__setattr__(self, "num_nodes", n)
         object.__setattr__(self, "node_ops", ops)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "topo_order", _topological_order(n, edges))
+        grow = len(_edge_cache) + len(edges) <= EDGE_CACHE_SIZE
+        edges = tuple(map(_edge_cache.setdefault if grow else _edge_cache.get, edges, edges))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerformanceRecord:
     clean_acc: float
     noisy_acc: float
@@ -131,14 +141,14 @@ class PerformanceRecord:
         return np.array([getattr(self, name) for name in TARGET_NAMES], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledGraph:
     graph: ComputationalGraph
     targets: Optional[PerformanceRecord]
     id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetSplit:
     train: tuple
     test: tuple

@@ -1,7 +1,8 @@
 import hashlib
 import json
 import math
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,70 @@ class TestCheckedOnConstruction:
         position = {node: i for i, node in enumerate(g.topo_order)}
         for u, v in g.edges:
             assert position[u] < position[v]
+
+
+class TestSharedEdges:
+    """Graphs hold one shared tuple per edge (u, v), from a bounded cache."""
+
+    def test_read_generated_and_replaced_graphs_share_edges(self, tmp_path):
+        generated = gc.generate_synthetic(50, 16, 0.3, 0.02, 4)
+        path = tmp_path / "d.jsonl"
+        gc.write_dataset(generated, path)
+        for made, read in zip(generated, gc.read_dataset(path)):
+            assert read.graph == made.graph
+            assert all(a is b for a, b in zip(read.graph.edges, made.graph.edges))
+        g = next(r.graph for r in generated if r.graph.num_edges)
+        copy = replace(g, edges=[(u, v) for u, v in g.edges])  # new tuples, equal by value
+        assert copy.edges[0] is g.edges[0]
+        assert replace(g, node_ops=g.node_ops[::-1]).edges[0] is g.edges[0]
+
+    @pytest.mark.parametrize("num_nodes,node_ops,edges", [
+        (2, [1, 1], [(0, 1), (1, 0)]), (3, [1, 1, 1], [(0, 1), (1, 2), (0, 1)]),
+        (3, [1, 1, 1], [(0, 1), (2, 2)]), (3, [1, 99, 1], [(0, 1), (1, 2)]),
+    ], ids=["cycle", "duplicate", "self-loop", "op code"])
+    def test_rejected_graph_adds_nothing(self, monkeypatch, num_nodes, node_ops, edges):
+        monkeypatch.setattr(gc, "_edge_cache", {})
+        with pytest.raises(gc.InvalidSpec):
+            gc.make_graph(num_nodes, node_ops, edges)
+        with pytest.raises(gc.InvalidSpec):
+            replace(CHAIN, num_nodes=num_nodes, node_ops=node_ops, edges=edges)
+        assert gc._edge_cache == {}
+
+    def test_graph_past_the_bound_builds_and_equals_a_fresh_build(self, monkeypatch):
+        monkeypatch.setattr(gc, "_edge_cache", {})
+        monkeypatch.setattr(gc, "EDGE_CACHE_SIZE", 3)
+        first = gc.make_graph(3, [1, 2, 3], [(0, 1), (1, 2)])
+        past = gc.make_graph(4, [1, 2, 3, 4], [(0, 1), (2, 3), (3, 1)])
+        assert len(gc._edge_cache) == 2
+        assert past.edges[0] is first.edges[0]
+        monkeypatch.setattr(gc, "_edge_cache", {})
+        monkeypatch.setattr(gc, "EDGE_CACHE_SIZE", 2**16)
+        fresh = gc.make_graph(4, [1, 2, 3, 4], [(0, 1), (2, 3), (3, 1)])
+        assert past == fresh and hash(past) == hash(fresh)
+        assert past.topo_order == fresh.topo_order
+
+    @pytest.mark.parametrize("obj,name", [
+        (CHAIN, "edges"), (gc.PerformanceRecord(0.1, 0.2, 0.3, 0.4), "clean_acc"),
+        (gc.LabeledGraph(CHAIN, None, "a"), "id"), (gc.DatasetSplit((), ()), "train"),
+    ], ids=["graph", "targets", "record", "split"])
+    def test_record_classes_are_slotted_and_frozen(self, obj, name):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+
+    def test_read_records_retain_little_memory(self, tmp_path, monkeypatch):
+        # 1,500 graphs of up to 32 nodes: 5.9 MB with a tuple per edge per graph
+        monkeypatch.setattr(gc, "_edge_cache", {})
+        path = tmp_path / "d.jsonl"
+        gc.write_dataset(gc.generate_synthetic(1500, 32, 0.3, 0.02, 0), path)
+        tracemalloc.start()
+        try:
+            records = gc.read_dataset(path)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 1500
+        assert retained < 2.5 * 2**20
 
 
 class TestDatasetIO:

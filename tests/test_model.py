@@ -311,6 +311,19 @@ class TestKernelsMatchReference:
         assert np.array_equal(out.value[real_query], p[real_query])
         assert np.array_equal(vjps(out, g)[0][real_query], dscores[real_query])
 
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_dropout_keep(self, partial):
+        # the values and generator state of the boolean-mask scatter, for every entry or some
+        shape = (3, 4, 7, 7)
+        where = np.random.default_rng(6).random((3, 1, 7, 1)) < 0.6 if partial else True
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        keep = ad._dropout_keep(shape, 0.1, rng, where)
+        selected = np.broadcast_to(where, shape)
+        reference = np.zeros(shape)
+        reference[selected] = (ref_rng.random(np.count_nonzero(selected)) >= 0.1) / 0.9
+        assert np.array_equal(keep, reference)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_adam_steps(self):
         def reference_step(values, grads, m, v, t, lr):
             for name in values:
