@@ -5,11 +5,13 @@ norm, masked softmax, GELU in its tanh form (arXiv:1606.08415), dropout, the
 feed-forward net and the self-attention sublayer (projections, score loop and
 output projection) fused from those, mean pooling over packed rows, and the
 elementwise arithmetic needed for losses. Each op records vector-Jacobian
-closures; backward() walks the tape in reverse topological order. A fused op
-is one Tensor with its own vjps, so an encoder layer builds six Tensors, not
-one per elementary step. Inside no_tape() a thread records nothing, so an
-eval forward frees each intermediate once the next op has read it, and a
-fused op holds one row block's temporaries at a time.
+closures; backward() walks the tape in reverse topological order and spends
+it, dropping each op's closures, and the arrays they saved, once they have
+run. A fused op is one Tensor with its own vjps, so an encoder layer builds
+six Tensors, not one per elementary step; it saves only what its vjps read
+and runs forward and backward in row blocks. Inside no_tape() a thread
+records nothing, so an eval forward frees each intermediate once the next op
+has read it, and a fused op holds one row block's temporaries at a time.
 """
 from __future__ import annotations
 
@@ -78,6 +80,8 @@ def no_tape():
 
 
 class Tensor:
+    """An array, its gradient and the (parent, vjp) pairs that made it; parents
+    is () for a leaf or an untaped result, and None once backward has spent it."""
     __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
@@ -171,9 +175,9 @@ def _gelu_gate(x: np.ndarray, out=None) -> np.ndarray:
     return gate
 
 
-def _gelu_slope(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
+def _gelu_slope(x: np.ndarray, gate: np.ndarray, out=None) -> np.ndarray:
     """d gelu / dx = gate + 2u' x gate (1 - gate), u' = a + 3 b x^2; 2u' is 6b x^2 + 2a exactly."""
-    out = np.square(x)
+    out = np.square(x, out=out)
     out *= 6.0 * _GELU_B
     out += 2.0 * _GELU_A
     out *= x
@@ -205,29 +209,42 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
     The hidden layer runs in blocks of BLOCK_VALUES // d_ff rows, at least 2,
     and a 1-row tail joins the block before it: BLAS multiplies a single row
-    by another path, with other bits. Untaped, only one block's hidden values
-    exist at a time; taped, the blocks fill the whole (T, d_ff) arrays that
-    the vjps read.
+    by another path, with other bits. Only one block's pre-activations and
+    GELU gates exist at a time. Untaped, so do its hidden values; taped, the
+    blocks fill the two (T, d_ff) arrays that the vjps read, the hidden
+    values and the GELU slope.
     """
     n, ff = x.value.shape[0], w1.value.shape[1]
     size = max(2, BLOCK_VALUES // ff)
     taped = _tape.recording
-    rows = n if taped else min(n, size + 1)  # a block has at most size + 1 rows
-    pre, gate, hidden = np.empty((rows, ff)), np.empty((rows, ff)), np.empty((rows, ff))
+    block = min(n, size + 1)  # a block has at most size + 1 rows
+    pre, gate = np.empty((block, ff)), np.empty((block, ff))
+    hidden = np.empty((n if taped else block, ff))
+    slope = np.empty((n, ff)) if taped else None
     y = np.empty((n, w2.value.shape[1]))
     starts = list(range(0, n, size))
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
     for start, end in zip(starts, starts[1:] + [n]):
-        at = slice(start, end) if taped else slice(0, end - start)
-        np.matmul(x.value[start:end], w1.value, out=pre[at])
-        pre[at] += b1.value
-        _gelu_gate(pre[at], out=gate[at])
-        np.multiply(pre[at], gate[at], out=hidden[at])
+        rows = slice(0, end - start)
+        at = slice(start, end) if taped else rows
+        np.matmul(x.value[start:end], w1.value, out=pre[rows])
+        pre[rows] += b1.value
+        _gelu_gate(pre[rows], out=gate[rows])
+        np.multiply(pre[rows], gate[rows], out=hidden[at])
+        if taped:
+            _gelu_slope(pre[rows], gate[rows], out=slope[at])
         np.matmul(hidden[at], w2.value, out=y[start:end])
     y += b2.value
+    if not taped:
+        return Tensor(y)
 
-    d_pre = _once(lambda g: _gelu_slope(pre, gate) * (g @ w2.value.T))
+    def pre_grad(g):
+        d_pre = g @ w2.value.T
+        d_pre *= slope
+        return d_pre
+
+    d_pre = _once(pre_grad)
     return Tensor(y, ((x, lambda g: d_pre(g) @ w1.value.T),
                       (w1, lambda g: x.value.T @ d_pre(g)),
                       (b1, lambda g: d_pre(g).sum(axis=0)),
@@ -324,23 +341,26 @@ def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
 
 
+def _score_blocks(rows: int, h: int, r: int) -> list:
+    """Slices of whole attention rows, BLOCK_VALUES // (h r^2) of them (at least one)."""
+    step = max(1, BLOCK_VALUES // (h * r * r))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _attend(q, k, v, mask, p: float, rng, where, taped: bool):
     """The context matmul(dropout(softmax(q k^T over mask), p, rng, where), v) of
     (rows, H, R, d) arrays q, k and v, with the probabilities and the dropout
     factors (None untaped, or without rng) that its vjps read.
 
-    The scores run in blocks of whole attention rows, BLOCK_VALUES // (H R^2)
-    of them (at least one), and each block draws its dropout in row-major
-    order, which continues the one draw over all the scores. Untaped, only
-    one block's scores exist at a time.
+    The scores run in _score_blocks, and each block draws its dropout in
+    row-major order, which continues the one draw over all the scores.
+    Untaped, only one block's scores exist at a time.
     """
     rows, h, r, _ = q.shape
     probs = np.empty((rows, h, r, r)) if taped else None
     keep = np.empty(probs.shape) if taped and rng is not None else None
     ctx = np.empty(v.shape)
-    step = max(1, BLOCK_VALUES // (h * r * r))
-    for start in range(0, rows, step):
-        at = slice(start, start + step)
+    for at in _score_blocks(rows, h, r):
         block = _softmax(q[at] @ np.swapaxes(k[at], -1, -2), None if mask is None else mask[at])
         if taped:
             probs[at] = block
@@ -373,10 +393,11 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
     that `where`, shaped like mask, marks (None: every score). Bit for bit,
     value and gradients are those of the chain of scale, concat, linear,
     scatter, reshape, transpose, unstack, scores, softmax_masked, dropout,
-    context, transpose, reshape, gather and linear ops that it fuses; the
-    score loop runs in row blocks (see _attend). Untaped, the scattered
-    q, k, v and the head-major context are freed before the output rows are
-    built.
+    context, transpose, reshape, gather and linear ops that it fuses. The
+    score loop runs in row blocks (see _attend), and so does the vjp's: it
+    holds one block's score gradients at a time and writes the q, k and v
+    gradients into one buffer. Untaped, the scattered q, k, v and the
+    head-major context are freed before the output rows are built.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     rows, r = layout
@@ -402,21 +423,24 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
     if not taped:
         return Tensor(y)
 
-    def drop(a):
-        return a if keep is None else a * keep
-
     def backward_rows(g):
         """The gradients of x, of the joined q/k/v weights and of their bias."""
         d_ctx = g @ wo.value.T
         if slots is not None:
             d_ctx = _scatter(d_ctx, slots, rows * r)
         d_ctx = d_ctx.reshape(rows, r, n_heads, dh).transpose(0, 2, 1, 3)
-        d_scores = _softmax_vjp(probs, drop(d_ctx @ np.swapaxes(v, -1, -2)))
         d_qkv = np.empty((rows, r, 3, n_heads, dh))
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
-        dq[...] = d_scores @ k
-        dk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ d_scores, -1, -2)
-        dv[...] = np.swapaxes(drop(probs), -1, -2) @ d_ctx
+        for at in _score_blocks(rows, n_heads, r):
+            d_probs = d_ctx[at] @ np.swapaxes(v[at], -1, -2)
+            dropped = probs[at]
+            if keep is not None:
+                d_probs *= keep[at]
+                dropped = dropped * keep[at]
+            d_scores = _softmax_vjp(probs[at], d_probs)
+            dq[at] = d_scores @ k[at]
+            dk[at] = np.swapaxes(np.swapaxes(q[at], -1, -2) @ d_scores, -1, -2)
+            dv[at] = np.swapaxes(dropped, -1, -2) @ d_ctx[at]
         d_qkv = d_qkv.reshape(rows * r, 3 * d)
         if slots is not None:
             d_qkv = d_qkv[slots]
@@ -449,7 +473,13 @@ def masked_mean(x: Tensor, counts: np.ndarray) -> Tensor:
 
 
 def backward(out: Tensor) -> None:
-    """Accumulate gradients of a scalar output into every reachable tensor."""
+    """Accumulate gradients of a scalar output into every reachable tensor.
+
+    The sweep spends the tape: a node's (parent, vjp) pairs, and the arrays
+    they saved, are dropped once they have run, so a layer's saved arrays are
+    freed before the layer below computes. A later backward through a spent
+    node raises RuntimeError.
+    """
     assert out.value.ndim == 0, "backward expects a scalar"
     order = []
     seen = set()
@@ -461,6 +491,9 @@ def backward(out: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.parents is None:
+            raise RuntimeError("backward through a spent tape: an earlier backward "
+                               "already released it")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node.parents:
@@ -470,9 +503,13 @@ def backward(out: Tensor) -> None:
     for node in order:
         node.grad = None
     out.grad = np.ones(())
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        pairs = node.parents
+        if pairs:
+            node.parents = None
         if node.grad is None:
             continue
-        for parent, vjp in node.parents:
+        for parent, vjp in pairs:
             g = vjp(node.grad)
             parent.grad = g if parent.grad is None else parent.grad + g

@@ -201,7 +201,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     """Train on split.train; returns (model, history).
 
     history is one dict per epoch with mean train loss and, when the test
-    split is labeled and eval_each_epoch is set, per-target test tau.
+    split is labeled and eval_each_epoch is set, per-target test tau. The
+    model's parameters hold no gradients.
     Fully deterministic under cfg.seed; test labels never influence the
     trained parameters.
 
@@ -270,6 +271,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             if pending is not None:
                 pending.result()  # the earlier epoch's eval error comes first, as serially
             raise
+    for param in model.params.values():
+        param.grad = None  # nothing reads the last step's gradients
     return model, history
 
 

@@ -258,31 +258,40 @@ def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 # -- Adam ---------------------------------------------------------------------
 
 def adam_init(model: PredictorModel) -> dict:
-    """Step count and the first and second moments of every parameter, held
-    flat in parameter order."""
-    size = sum(param.value.size for param in model.params.values())
-    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
+    """Step count, the first and second moments of every parameter, and the
+    one flat array that holds the parameters, laid out in `parameter_shapes`
+    order: each parameter is rebound to a view of it."""
+    names = list(parameter_shapes(model.config))
+    flat = np.concatenate([model.params[name].value.reshape(-1) for name in names])
+    views, start = {}, 0
+    for name in names:
+        param = model.params[name]
+        end = start + param.value.size
+        views[name] = param.value = flat[start:end].reshape(param.value.shape)
+        start = end
+    return {"t": 0, "m": np.zeros(flat.size), "v": np.zeros(flat.size), "flat": flat,
+            "views": views}
 
 
 def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> None:
-    """In-place Adam update with bias correction, over all parameters at once."""
-    for name, param in model.params.items():
-        if grads[name].shape != param.value.shape:
-            raise ModelError(
-                f"gradient for {name}: {grads[name].shape} vs {param.value.shape}")
+    """In-place Adam update with bias correction, over all parameters at once,
+    on the flat array that adam_init bound them to."""
+    for name, view in state["views"].items():
+        if model.params[name].value is not view:
+            raise ModelError(f"parameter {name} no longer views the Adam buffer")
+        if grads[name].shape != view.shape:
+            raise ModelError(f"gradient for {name}: {grads[name].shape} vs {view.shape}")
     state["t"] += 1
     t = state["t"]
-    g = np.concatenate([grads[name].reshape(-1) for name in model.params])
-    m = state["m"] = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * g
-    v = state["v"] = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * g * g
+    g = np.concatenate([grads[name].reshape(-1) for name in state["views"]])
+    m, v = state["m"], state["v"]
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += ((1 - ADAM_BETA2) * g) * g
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
-    step = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    start = 0
-    for param in model.params.values():
-        end = start + param.value.size
-        param.value = param.value - step[start:end].reshape(param.value.shape)
-        start = end
+    state["flat"] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- Checkpoint I/O -----------------------------------------------------------

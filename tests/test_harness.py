@@ -437,6 +437,10 @@ class TestTrainPredictor:
         assert len(history) == 1
         assert "loss" in history[0] and "tau" in history[0]
 
+    def test_returned_model_holds_no_gradients(self):
+        model, _ = tart.train_predictor(small_split(), tiny_train_config(epochs=2))
+        assert all(param.grad is None for param in model.params.values())
+
     def test_deterministic_history(self):
         split = small_split()
         _, h1 = tart.train_predictor(split, tiny_train_config(epochs=2))

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,12 +404,13 @@ class TestFusedOps:
         assert_same_bits(value_and_grads(ad.feed_forward, values),
                          value_and_grads(feed_forward_chain, values))
 
-    @pytest.mark.parametrize("block_values", [None, 1])
+    @pytest.mark.parametrize("block_values", [None, 1, 144])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_attention_matches_chain(self, p, masked, block_values, monkeypatch):
-        # one attention row per block at 1 value; the layout pack_rows gives 7 samples,
-        # with x holding only their rows (scattered to slots) or one row per slot
+        # pack_rows packs 7 samples into 5 attention rows of 6 slots; x holds only their rows
+        # (scattered to slots) or one row per slot. At 1 value a block is one row, and
+        # at 144 values (2 heads' 6 x 6 scores) two rows, with a 1-row tail
         if block_values is not None:
             monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(5)
@@ -429,6 +431,22 @@ class TestFusedOps:
 
             assert_same_bits(value_and_grads(run(ad.self_attention), [x] + weights),
                              value_and_grads(run(attention_chain), [x] + weights))
+
+    def test_taped_feed_forward_keeps_two_hidden_arrays(self):
+        # the hidden values and the GELU slope; pre-activations and gates live one
+        # 256-row block at a time
+        rng = np.random.default_rng(8)
+        t, d, ff = 600, 32, 256
+        leaves = [ad.Tensor(rng.normal(size=s)) for s in [(t, d), (d, ff), (ff,), (ff, d), (d,)]]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.feed_forward(*leaves)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.parents
+        assert retained <= 8 * (2 * t * ff + 4 * t * d)
 
     def test_untaped_calls_keep_no_parents(self, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_VALUES", 1)
@@ -550,6 +568,46 @@ class TestNoTape:
         assert loss_after == loss
         assert all(np.any(g != 0.0) for g in grads.values())
         assert all(np.array_equal(grads[name], grads_after[name]) for name in grads)
+
+
+class TestSpentTape:
+    def test_backward_frees_every_saved_array(self):
+        # samples of 30, 20, 10, 25 and 5 rows packed into 3 attention rows of 30: the
+        # tape saves (90, 256) FFN arrays and (3, 4, 30, 30) probabilities and dropout
+        # factors, and holding the loss and predictions must keep none of them
+        rng = np.random.default_rng(10)
+        model = md.init_model(tiny_config(n_heads=4, d_ff=256, dropout_p=0.1), seed=3)
+        counts = np.array([30, 20, 10, 25, 5])
+        mask = np.arange(30) < counts[:, None]
+        tokens = np.where(mask[..., None], rng.normal(size=(5, 30, 11)), 0.0)
+        z = rng.normal(size=(5, 4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            preds = md.encoder_forward(model, tokens, mask, train=True, dropout_seed=3)
+            loss = md.loss_mse(preds, z)
+            taped = tracemalloc.get_traced_memory()[0] - before
+            ad.backward(loss)
+            grads = sum(param.grad.nbytes for param in model.params.values())
+            held = tracemalloc.get_traced_memory()[0] - before - grads
+        finally:
+            tracemalloc.stop()
+        assert taped > 8 * 90 * 256 * 2
+        assert held < 8 * 3 * 4 * 30 * 30
+        assert preds.parents is None and loss.parents is None
+
+    def test_second_backward_names_the_spent_tape(self):
+        x = ad.Tensor(np.array([1.5, -2.0]))
+        out = ad.mean_all(ad.square(x))
+        ad.backward(out)
+        grad = x.grad.copy()
+        for spent in (out, ad.scale(out, 2.0)):  # the output itself, or a tensor built on it
+            with pytest.raises(RuntimeError, match="spent tape"):
+                ad.backward(spent)
+        assert np.array_equal(x.grad, grad)
+        # leaves keep no tape, so a new output over them differentiates afresh
+        ad.backward(ad.mean_all(ad.square(x)))
+        assert np.array_equal(x.grad, grad)
 
 
 class TestForward:
@@ -841,6 +899,24 @@ class TestAdam:
             results.append({k: v.value.copy() for k, v in model.params.items()})
         for k in results[0]:
             assert np.array_equal(results[0][k], results[1][k])
+
+    def test_parameters_are_updated_in_one_buffer(self):
+        model = self._model()
+        state = md.adam_init(model)
+        views = [model.params[name].value for name in md.parameter_shapes(model.config)]
+        assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), state["flat"])
+        grads = {k: np.ones_like(v.value) for k, v in model.params.items()}
+        md.adam_step(model, grads, state, lr=1e-3)
+        for name, view in zip(md.parameter_shapes(model.config), views):
+            assert model.params[name].value is view and view.base is state["flat"]
+
+    def test_parameter_rebound_off_the_buffer(self):
+        model = self._model()
+        state = md.adam_init(model)
+        model.params["layer0.ffn.b1"].value = model.params["layer0.ffn.b1"].value.copy()
+        grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
+        with pytest.raises(md.ModelError, match="layer0.ffn.b1 no longer views the Adam buffer"):
+            md.adam_step(model, grads, state, lr=1e-3)
 
     def test_shape_mismatch(self):
         model = self._model()
