@@ -341,46 +341,14 @@ def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
 
 
-def _score_blocks(rows: int, h: int, r: int) -> list:
-    """Slices of whole attention rows, BLOCK_VALUES // (h r^2) of them (at least one)."""
-    step = max(1, BLOCK_VALUES // (h * r * r))
-    return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def _attend(q, k, v, mask, p: float, rng, where, taped: bool):
-    """The context matmul(dropout(softmax(q k^T over mask), p, rng, where), v) of
-    (rows, H, R, d) arrays q, k and v, with the probabilities and the dropout
-    factors (None untaped, or without rng) that its vjps read.
-
-    The scores run in _score_blocks, and each block draws its dropout in
-    row-major order, which continues the one draw over all the scores.
-    Untaped, only one block's scores exist at a time.
-    """
-    rows, h, r, _ = q.shape
-    probs = np.empty((rows, h, r, r)) if taped else None
-    keep = np.empty(probs.shape) if taped and rng is not None else None
-    ctx = np.empty(v.shape)
-    for at in _score_blocks(rows, h, r):
-        block = _softmax(q[at] @ np.swapaxes(k[at], -1, -2), None if mask is None else mask[at])
-        if taped:
-            probs[at] = block
-        if rng is not None:
-            block_keep = _dropout_keep(block.shape, p, rng, True if where is None else where[at])
-            if taped:
-                keep[at] = block_keep
-            block *= block_keep
-        np.matmul(block, v[at], out=ctx[at])
-    return ctx, probs, keep
-
-
 def _scatter(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n,) + values.shape[1:])
     out[index] = values
     return out
 
 
-def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
-                   p: float, rng, where) -> Tensor:
+def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, owner,
+                   p: float, rng) -> Tensor:
     """Multi-head self-attention over packed rows x (T, D), through the output
     projection; weights are the Tensors (wq, bq, wk, bk, wv, bv, wo, bo).
 
@@ -388,15 +356,18 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
     bv], c = 1 / sqrt(D / n_heads), so the scores need no scale. Its rows are
     scattered to the flat `slots` of `layout`'s (rows, R) attention rows
     (slots None: x's rows fill them in order), and gathered back after the
-    heads merge. The boolean (rows, 1, R, R) mask lets a query see only the
-    keys it marks (None: every key); dropout draws, from rng, for the scores
-    that `where`, shaped like mask, marks (None: every score). Bit for bit,
-    value and gradients are those of the chain of scale, concat, linear,
-    scatter, reshape, transpose, unstack, scores, softmax_masked, dropout,
-    context, transpose, reshape, gather and linear ops that it fuses. The
-    score loop runs in row blocks (see _attend), and so does the vjp's: it
-    holds one block's score gradients at a time and writes the q, k and v
-    gradients into one buffer. Untaped, the scattered q, k, v and the
+    heads merge. owner (rows, R) names each slot's sample, -1 for padding: a
+    query sees only its own owner's keys, so a padding query keeps its row's
+    padding, and dropout draws, from rng, for the pairs of one sample's real
+    slots (owner None: every key and every score). Bit for bit, value and
+    gradients are those of the chain of scale, concat, linear, scatter,
+    reshape, transpose, unstack, scores, softmax_masked, dropout, context,
+    transpose, reshape, gather and linear ops that it fuses. The scores run
+    in blocks of BLOCK_VALUES // (H R^2) whole attention rows (at least one),
+    each building its own mask and dropout pairs and drawing in row-major
+    order, which continues one draw over all the scores; the vjp runs in the
+    same blocks and writes the q, k and v gradients into one buffer. Untaped,
+    one block's scores exist at a time, and the scattered q, k, v and the
     head-major context are freed before the output rows are built.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = weights
@@ -411,7 +382,23 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
         qkv = _scatter(qkv, slots, rows * r)
     q, k, v = qkv.reshape(rows, r, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     taped = _tape.recording
-    ctx, probs, keep = _attend(q, k, v, mask, p, rng, where, taped)
+    step = max(1, BLOCK_VALUES // (n_heads * r * r))
+    blocks = [slice(start, start + step) for start in range(0, rows, step)]
+    probs = np.empty((rows, n_heads, r, r)) if taped else None
+    keep = np.empty(probs.shape) if taped and rng is not None else None
+    ctx = np.empty(v.shape)
+    for at in blocks:
+        mask = None if owner is None else (owner[at, :, None] == owner[at, None, :])[:, None]
+        block = _softmax(q[at] @ np.swapaxes(k[at], -1, -2), mask)
+        if taped:
+            probs[at] = block
+        if rng is not None:
+            pairs = True if owner is None else mask & (owner[at] >= 0)[:, None, :, None]
+            block_keep = _dropout_keep(block.shape, p, rng, pairs)
+            if taped:
+                keep[at] = block_keep
+            block *= block_keep
+        np.matmul(block, v[at], out=ctx[at])
     if not taped:
         del qkv, q, k, v
     merged = ctx.transpose(0, 2, 1, 3).reshape(rows * r, d)
@@ -431,7 +418,7 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, mask,
         d_ctx = d_ctx.reshape(rows, r, n_heads, dh).transpose(0, 2, 1, 3)
         d_qkv = np.empty((rows, r, 3, n_heads, dh))
         dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)
-        for at in _score_blocks(rows, n_heads, r):
+        for at in blocks:
             d_probs = d_ctx[at] @ np.swapaxes(v[at], -1, -2)
             dropped = probs[at]
             if keep is not None:

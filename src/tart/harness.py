@@ -276,12 +276,16 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     return model, history
 
 
-def evaluate_predictor(model: PredictorModel, test) -> dict:
-    """Per-target tau of a trained model on labeled test records (no weight updates)."""
+def _check_test_set(test) -> None:
     if not test:
         raise HarnessError("empty test set")
     if any(r.targets is None for r in test):
         raise HarnessError("test set contains unlabeled records")
+
+
+def evaluate_predictor(model: PredictorModel, test) -> dict:
+    """Per-target tau of a trained model on labeled test records (no weight updates)."""
+    _check_test_set(test)
     preds = predict(model, [r.graph for r in test], model.config.mode)
     return tau_table(preds, _targets_matrix(test))
 
@@ -297,8 +301,11 @@ class EvalReport:
 
 
 def run_experiment(split: DatasetSplit, cfg: TrainConfig, n_trials: int = 5) -> EvalReport:
-    """Train n_trials models, on seeds cfg.seed, cfg.seed + 1, ..., and record each one's tau."""
+    """Train n_trials models, on seeds cfg.seed, cfg.seed + 1, ..., and record each one's tau.
+
+    An empty or unlabeled test split raises before the first trial trains."""
     n_trials = check_int(n_trials, "n_trials", 1, HarnessError)
+    _check_test_set(split.test)
     per_seed = []
     for seed in range(cfg.seed, cfg.seed + n_trials):
         model, _ = train_predictor(split, replace(cfg, seed=seed, eval_each_epoch=False))

@@ -9,18 +9,19 @@ rows are gathered into one (T, ·) array, so projections, layer norms, the
 feed-forward net, residual adds and pooling never touch padding. Attention's
 score, softmax and context matmuls run on block-diagonal rows: the batch's
 samples are packed, first-fit decreasing, into as few rows of the longest
-sample's length as they fit, and a boolean block-diagonal mask lets each
-query see only its own sample's keys (Krell et al., arXiv:2107.02027); the
-softmax exponentiates only the pairs it lets through. When every sample
-fills its own row (one graph, or graphs of one length), the rows are the
-batch reshaped, and nothing is packed, masked or scattered.
+sample's length as they fit, and each query sees only its own sample's keys
+(Krell et al., arXiv:2107.02027): the packing's owner array goes to the
+attention op, which builds each score block's mask from it, and the softmax
+exponentiates only the pairs it lets through. When every sample fills its
+own row (one graph, or graphs of one length), the rows are the batch
+reshaped, and nothing is packed, masked or scattered.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from itertools import accumulate
 
 import numpy as np
@@ -166,8 +167,8 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     tokens: B x R x C float64, mask: B x R bool. The real rows are packed
     into one (T, C) array in sample order, so every row-wise op runs on
     real rows only. Attention packs the samples into as few rows as fit
-    (see pack_rows), and a boolean block-diagonal mask keeps each sample to
-    its own tokens. A sample's output depends on its real rows alone, not on
+    (see pack_rows), and the packing's owner array keeps each sample to its
+    own tokens. A sample's output depends on its real rows alone, not on
     where the mask puts them, how far the batch is padded or which samples
     share its attention row. Eval mode (train=False) is a deterministic pure
     function of (model, batch); train mode draws dropout masks, for real
@@ -191,23 +192,19 @@ def encoder_forward(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
     b, width = mask.shape
     if np.all(counts == width):
         # every sample fills its own attention row: nothing to pack, mask or scatter
-        layout, slots, attend, pairs = (b, width), None, None, None
+        layout, owner, slots = (b, width), None, None
         rows = tokens.reshape(b * width, tokens.shape[-1])
     else:
         owner, slots = pack_rows(counts)
         layout = owner.shape
-        # a query attends the keys of its own owner, so a padding query keeps its row's padding
-        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
-        # a real pair's query and key belong to one sample; dropout draws for real pairs only
-        pairs = None if drop_rng is None else attend & (owner >= 0)[:, None, :, None]
         rows = tokens[mask]
     x = ad.linear(Tensor(rows), p["input_proj.w"], p["input_proj.b"])
 
     for i in range(cfg.n_layer):
         normed = ad.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
         weights = [p[f"layer{i}.attn.{kind}{part}"] for part in "qkvo" for kind in "wb"]
-        attn = ad.self_attention(normed, weights, cfg.n_heads, layout, slots, attend,
-                                 cfg.dropout_p, drop_rng, pairs)
+        attn = ad.self_attention(normed, weights, cfg.n_heads, layout, slots, owner,
+                                 cfg.dropout_p, drop_rng)
         x = ad.add(x, ad.dropout(attn, cfg.dropout_p, drop_rng))
 
         normed = ad.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
@@ -320,8 +317,12 @@ def load_model(path) -> PredictorModel:
         if version != MODEL_FORMAT_VERSION:
             raise VersionMismatch(f"checkpoint version {version}, expected {MODEL_FORMAT_VERSION}")
         offset = 15 + cfg_len
-        cfg = EncoderConfig(**json.loads(blob[15:offset].decode("utf-8")))
-    except VersionMismatch:
+        header = json.loads(blob[15:offset].decode("utf-8"))
+        names = [f.name for f in fields(EncoderConfig)]
+        if not isinstance(header, dict) or set(header) != set(names):
+            raise CorruptFile(f"header must hold exactly the keys {', '.join(names)}")
+        cfg = EncoderConfig(**header)
+    except (VersionMismatch, CorruptFile):
         raise
     except (struct.error, json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
         raise CorruptFile(str(exc)) from exc

@@ -388,9 +388,10 @@ class TestPassMemory:
 
         assert self.peak_mib(forward) < 16
 
-    def test_eval_forward_builds_no_dropout_pairs(self, scored):
+    def test_eval_forward_builds_no_whole_batch_mask(self, scored):
         # the 64 longest graphs of `tart gen --count 2500 --max-nodes 32 --seed 5`, R = 199:
-        # 32.4 MiB measured, 34.8 MiB with the (rows, 1, R, R) dropout pairs built in eval
+        # 30.97 MiB measured, 33.39 MiB with the (rows, 1, R, R) attention mask built
+        # for the whole batch
         model, _ = scored
         graphs = [r.graph for r in tart.generate_synthetic(2500, 32, 0.3, 0.02, 5)]
         longest = sorted(graphs, key=lambda g: g.num_nodes + g.num_edges)[-64:]
@@ -402,7 +403,7 @@ class TestPassMemory:
             with ad.no_tape():
                 md.encoder_forward(model, batch.tokens, batch.mask)
 
-        assert self.peak_mib(forward) < 33.5
+        assert self.peak_mib(forward) < 32
 
     def test_two_thread_predict(self, scored, monkeypatch):
         # 1,024 graphs' tokens included: 17.2-18.0 MiB measured, 41.7-49.3 MiB without
@@ -665,6 +666,20 @@ class TestCompareModes:
     def test_pure_config_rejected(self):
         with pytest.raises(hn.HarnessError, match="compare needs a tart config"):
             hn.compare_modes(small_split(), tiny_train_config("pure"), n_trials=1)
+
+    @pytest.mark.parametrize("unlabeled", [False, True])
+    def test_unusable_test_split_raises_before_training(self, unlabeled, monkeypatch):
+        # `tart compare --train-frac 1.0` leaves no test split; neither case may train a model
+        split = small_split()
+        test = tuple(tart.LabeledGraph(graph=r.graph, targets=None, id=r.id)
+                     for r in split.test) if unlabeled else ()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_predictor called")
+
+        monkeypatch.setattr(hn, "train_predictor", no_training)
+        with pytest.raises(hn.HarnessError, match="unlabeled" if unlabeled else "empty test set"):
+            hn.compare_modes(tart.DatasetSplit(split.train, test), tiny_train_config(), n_trials=1)
 
     def test_text_table_mentions_reference_results(self):
         comparison = hn.compare_modes(small_split(), tiny_train_config(), n_trials=1)

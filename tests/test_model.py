@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -89,10 +90,12 @@ def load_bytes(path, blob):
     return md.load_model(path)
 
 
-def rewrite_header(blob, header):
-    """The checkpoint with `header` merged into its JSON config, payload unchanged."""
+def rewrite_header(blob, header, drop=()):
+    """The checkpoint with `header` merged into its JSON config and the `drop`
+    keys taken out, payload unchanged."""
     (cfg_len,) = struct.unpack_from("<I", blob, 11)
-    cfg_json = json.dumps({**json.loads(blob[15:15 + cfg_len]), **header}).encode()
+    merged = {**json.loads(blob[15:15 + cfg_len]), **header}
+    cfg_json = json.dumps({k: v for k, v in merged.items() if k not in drop}).encode()
     return blob[:11] + struct.pack("<I", len(cfg_json)) + cfg_json + blob[15 + cfg_len:]
 
 
@@ -180,11 +183,9 @@ class TestAutodiffOps:
         # two attention rows, the first shared by samples of 3 and 1 tokens, the second
         # holding a sample of 2 and two padding slots
         owner, slots = md.pack_rows(np.array([3, 1, 2]))
-        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
-        pairs = attend & (owner >= 0)[:, None, :, None]
         self.check_op(lambda x, *weights: ad.self_attention(
-            x, weights, 2, owner.shape, slots, attend, p,
-            np.random.default_rng(3) if p else None, pairs),
+            x, weights, 2, owner.shape, slots, owner, p,
+            np.random.default_rng(3) if p else None),
             [(6, 4)] + [(4, 4), (4,)] * 4)
 
     def test_masked_mean(self):
@@ -353,8 +354,10 @@ def feed_forward_chain(x, w1, b1, w2, b2):
     return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
 
 
-def attention_chain(x, weights, n_heads, layout, slots, mask, p, rng, where):
-    """The op chain that self_attention fuses."""
+def attention_chain(x, weights, n_heads, layout, slots, owner, p, rng):
+    """The op chain that self_attention fuses, with the whole batch's masks built
+    from owner: a query attends its own owner's keys, and dropout draws for the
+    pairs whose query and key are one sample's real slots."""
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     rows, r = layout
     d = x.shape[1]
@@ -367,7 +370,11 @@ def attention_chain(x, weights, n_heads, layout, slots, mask, p, rng, where):
         qkv = scatter_rows(qkv, slots, rows * r)
     q, k, v = unstack(ad.transpose(ad.reshape(qkv, (rows, r, 3, n_heads, dh)), (2, 0, 3, 1, 4)))
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-    probs = ad.dropout(ad.softmax_masked(scores, mask), p, rng, True if where is None else where)
+    mask, pairs = None, True
+    if owner is not None:
+        mask = (owner[:, :, None] == owner[:, None, :])[:, None]
+        pairs = mask & (owner >= 0)[:, None, :, None]
+    probs = ad.dropout(ad.softmax_masked(scores, mask), p, rng, pairs)
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
     if slots is not None:
         ctx = gather_rows(ctx, slots)
@@ -415,9 +422,6 @@ class TestFusedOps:
             monkeypatch.setattr(ad, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(5)
         owner, packed = md.pack_rows(np.array([6, 2, 4, 1, 3, 6, 5]))
-        attend = (owner[:, :, None] == owner[:, None, :])[:, None]
-        pairs = attend & (owner >= 0)[:, None, :, None]
-        mask = attend if masked else None
         weights = [rng.normal(size=(8, 8)) if i % 2 == 0 else rng.normal(size=8)
                    for i in range(8)]
         for slots in (packed, None):
@@ -425,8 +429,8 @@ class TestFusedOps:
 
             def run(op):
                 def build(x, *weights):
-                    return op(x, weights, 2, owner.shape, slots, mask, p,
-                              np.random.default_rng(9) if p else None, pairs)
+                    return op(x, weights, 2, owner.shape, slots, owner if masked else None,
+                              p, np.random.default_rng(9) if p else None)
                 return build
 
             assert_same_bits(value_and_grads(run(ad.self_attention), [x] + weights),
@@ -457,7 +461,7 @@ class TestFusedOps:
 
         def attention():
             return ad.self_attention(x, weights, 2, (3, 5), None, None, 0.5,
-                                     np.random.default_rng(7), None)
+                                     np.random.default_rng(7))
 
         taped = [ad.feed_forward(*ffn), attention()]
         with ad.no_tape():
@@ -1011,15 +1015,23 @@ class TestCheckpoint:
         assert {k: v.value.shape for k, v in loaded.params.items()} == \
             md.parameter_shapes(loaded.config)
 
-    # a wider encoder, a header too large to lay out, a non-integer size, and a pure
-    # header over an 11-wide input_proj (the layout pure checkpoints had before their
-    # rows lost the always-zero positional columns)
+    # a wider encoder, a header too large to lay out, a non-integer size, a pure header
+    # over an 11-wide input_proj (the layout pure checkpoints had before their rows lost
+    # the always-zero positional columns), and a key that no config field reads
     @pytest.mark.parametrize("header", [{"d_model": 8}, {"n_layer": 10**9}, {"n_layer": 1.0},
-                                        {"mode": "pure"}])
+                                        {"mode": "pure"}, {"pooling": "mean"}])
     def test_header_not_matching_payload(self, small_checkpoint, header):
         blob = rewrite_header(small_checkpoint.read_bytes(), header)
         with pytest.raises(md.CorruptFile):
             load_bytes(small_checkpoint.with_name("edited.ckpt"), blob)
+
+    # a lost key would take its default: a header without dropout_p would train at 0.1,
+    # and a 2-head header without n_heads would load, as 4 heads, a payload of the same size
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(md.EncoderConfig)])
+    def test_header_missing_a_field(self, small_checkpoint, field):
+        blob = rewrite_header(small_checkpoint.read_bytes(), {}, drop={field})
+        with pytest.raises(md.CorruptFile, match="exactly the keys"):
+            load_bytes(small_checkpoint.with_name("lost.ckpt"), blob)
 
     def test_header_nested_too_deeply(self, small_checkpoint):
         blob = small_checkpoint.read_bytes()
