@@ -328,16 +328,13 @@ def _dropout_keep(shape, p: float, rng, where) -> np.ndarray:
     return keep
 
 
-def dropout(x: Tensor, p: float, rng, where=True) -> Tensor:
-    """Inverted dropout with a caller-supplied generator; with no generator
-    (rng None: eval mode, or no dropout) x is returned unchanged.
-
-    Only the entries selected by `where` (broadcastable to x) draw from rng,
-    in row-major order; every other entry is zeroed.
-    """
+def dropout(x: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout with a caller-supplied generator, every entry drawing
+    in row-major order; with no generator (rng None: eval mode, or no
+    dropout) x is returned unchanged."""
     if rng is None:
         return x
-    keep = _dropout_keep(x.value.shape, p, rng, where)
+    keep = _dropout_keep(x.value.shape, p, rng, True)
     return Tensor(x.value * keep, ((x, lambda g: g * keep),))
 
 
@@ -360,15 +357,14 @@ def self_attention(x: Tensor, weights, n_heads: int, layout: tuple, slots, owner
     query sees only its own owner's keys, so a padding query keeps its row's
     padding, and dropout draws, from rng, for the pairs of one sample's real
     slots (owner None: every key and every score). Bit for bit, value and
-    gradients are those of the chain of scale, concat, linear, scatter,
-    reshape, transpose, unstack, scores, softmax_masked, dropout, context,
-    transpose, reshape, gather and linear ops that it fuses. The scores run
-    in blocks of BLOCK_VALUES // (H R^2) whole attention rows (at least one),
-    each building its own mask and dropout pairs and drawing in row-major
-    order, which continues one draw over all the scores; the vjp runs in the
-    same blocks and writes the q, k and v gradients into one buffer. Untaped,
-    one block's scores exist at a time, and the scattered q, k, v and the
-    head-major context are freed before the output rows are built.
+    gradients are those of the unfused op chain, `attention_chain` in
+    tests/test_model.py. The scores run in blocks of BLOCK_VALUES // (H R^2)
+    whole attention rows (at least one), each building its own mask and
+    dropout pairs and drawing in row-major order, which continues one draw
+    over all the scores; the vjp runs in the same blocks and writes the q, k
+    and v gradients into one buffer. Untaped, one block's scores exist at a
+    time, and the scattered q, k, v and the head-major context are freed
+    before the output rows are built.
     """
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     rows, r = layout

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, no_tape
+from .autodiff import no_tape
 from .graphs import TARGET_NAMES, DatasetSplit, check_float, check_int
 from .model import (EncoderConfig, PredictorModel, StatsDegenerate, adam_init, adam_step,
                     backward_pass, compute_target_stats, encoder_forward, init_model)
@@ -191,10 +191,15 @@ def predict(model: PredictorModel, graphs, mode: str,
     graphs = list(graphs)
     if not graphs:
         raise HarnessError("no graphs to predict")
-    chunk = PREDICT_CHUNK_BATCHES * batch_size
     return np.concatenate([_forward_by_length(
-        model, tokenize_many(graphs[start:start + chunk], mode, d_p=model.config.d_p),
-        batch_size, _usable_cpus()) for start in range(0, len(graphs), chunk)])
+        model, tokenize_many(part, mode, d_p=model.config.d_p), batch_size, _usable_cpus())
+        for part in _chunks(graphs, batch_size)])
+
+
+def _chunks(items: list, batch_size: int):
+    """items in predict's chunks of PREDICT_CHUNK_BATCHES batches, in order."""
+    chunk = PREDICT_CHUNK_BATCHES * batch_size
+    return (items[start:start + chunk] for start in range(0, len(items), chunk))
 
 
 def train_predictor(split: DatasetSplit, cfg: TrainConfig):
@@ -234,8 +239,9 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
         test_mats = tokenize_many([r.graph for r in split.test], cfg.model.mode, d_p=cfg.model.d_p)
 
     def evaluate(scored: PredictorModel, threads: int) -> dict:
-        # predict()'s batches when the test split fits in one chunk, from matrices tokenized once
-        preds = _forward_by_length(scored, test_mats, PREDICT_BATCH_SIZE, threads)
+        # predict()'s chunks and batches, from matrices tokenized once
+        preds = np.concatenate([_forward_by_length(scored, part, PREDICT_BATCH_SIZE, threads)
+                                for part in _chunks(test_mats, PREDICT_BATCH_SIZE)])
         return tau_table(preds, test_targets)
 
     overlap = eval_each_epoch and cfg.epochs > 1 and _usable_cpus() > 1
@@ -262,9 +268,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
                 entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
                 history.append(entry)
                 if overlap and epoch + 1 < cfg.epochs:
-                    snapshot = {name: Tensor(param.value.copy())
-                                for name, param in model.params.items()}
-                    pending = pool.submit(evaluate, PredictorModel(model.config, snapshot), 1)
+                    snapshot = PredictorModel(model.config, model.flat.copy())
+                    pending = pool.submit(evaluate, snapshot, 1)
                 elif eval_each_epoch:
                     entry["tau"] = evaluate(model, _usable_cpus())
         except Exception:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -87,10 +87,24 @@ class EncoderConfig:
             object.__setattr__(self, "d_p", 0)
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictorModel:
+    """An encoder's config and one float64 buffer, `flat`, of parameter_count(config)
+    values in `parameter_shapes` order; each Tensor in params (by name) views it."""
     config: EncoderConfig
-    params: dict  # name -> Tensor
+    flat: np.ndarray
+    params: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = parameter_count(self.config)
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ModelError(f"parameter buffer is {self.flat.dtype} {self.flat.shape}, "
+                             f"config needs float64 ({size},)")
+        self.params, start = {}, 0
+        for name, shape in parameter_shapes(self.config).items():
+            end = start + math.prod(shape)
+            self.params[name] = Tensor(self.flat[start:end].reshape(shape))
+            start = end
 
 
 def parameter_shapes(config: EncoderConfig) -> dict:
@@ -117,21 +131,17 @@ def parameter_count(config: EncoderConfig) -> int:
     return (c * d + d) + config.n_layer * per_layer + (d * t + t)
 
 
-def _init_matrix(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
 def init_model(config: EncoderConfig, seed: int) -> PredictorModel:
     """Matrices drawn in checkpoint order; layer-norm gains 1, every other vector 0."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in parameter_shapes(config).items():
-        if len(shape) == 2:
-            params[name] = Tensor(_init_matrix(rng, *shape))
+    model = PredictorModel(config, np.empty(parameter_count(config)))
+    for name, param in model.params.items():
+        shape = param.value.shape
+        if len(shape) == 2:  # fan_in + fan_out = sum(shape)
+            param.value[...] = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
         else:
-            params[name] = Tensor(np.full(shape, 1.0 if name.endswith(".g") else 0.0))
-    return PredictorModel(config=config, params=params)
+            param.value[...] = 1.0 if name.endswith(".g") else 0.0
+    return model
 
 
 def pack_rows(counts: np.ndarray):
@@ -255,32 +265,27 @@ def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
 # -- Adam ---------------------------------------------------------------------
 
 def adam_init(model: PredictorModel) -> dict:
-    """Step count, the first and second moments of every parameter, and the
-    one flat array that holds the parameters, laid out in `parameter_shapes`
-    order: each parameter is rebound to a view of it."""
-    names = list(parameter_shapes(model.config))
-    flat = np.concatenate([model.params[name].value.reshape(-1) for name in names])
-    views, start = {}, 0
-    for name in names:
-        param = model.params[name]
-        end = start + param.value.size
-        views[name] = param.value = flat[start:end].reshape(param.value.shape)
-        start = end
-    return {"t": 0, "m": np.zeros(flat.size), "v": np.zeros(flat.size), "flat": flat,
-            "views": views}
+    """Step count and the first and second moments of every parameter, laid
+    out as model.flat."""
+    return {"t": 0, "m": np.zeros(model.flat.size), "v": np.zeros(model.flat.size)}
+
+
+def _check_views(model: PredictorModel) -> None:
+    for name, param in model.params.items():
+        if not np.shares_memory(param.value, model.flat):
+            raise ModelError(f"parameter {name} no longer views the model's buffer")
 
 
 def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> None:
     """In-place Adam update with bias correction, over all parameters at once,
-    on the flat array that adam_init bound them to."""
-    for name, view in state["views"].items():
-        if model.params[name].value is not view:
-            raise ModelError(f"parameter {name} no longer views the Adam buffer")
-        if grads[name].shape != view.shape:
-            raise ModelError(f"gradient for {name}: {grads[name].shape} vs {view.shape}")
+    on model.flat."""
+    _check_views(model)
+    for name, param in model.params.items():
+        if grads[name].shape != param.value.shape:
+            raise ModelError(f"gradient for {name}: {grads[name].shape} vs {param.value.shape}")
     state["t"] += 1
     t = state["t"]
-    g = np.concatenate([grads[name].reshape(-1) for name in state["views"]])
+    g = np.concatenate([grads[name].reshape(-1) for name in model.params])
     m, v = state["m"], state["v"]
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * g
@@ -288,23 +293,19 @@ def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> Non
     v += ((1 - ADAM_BETA2) * g) * g
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
-    state["flat"] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    model.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- Checkpoint I/O -----------------------------------------------------------
 
 def save_model(model: PredictorModel, path) -> None:
-    """Magic, `<II` version and config length, JSON config, then every tensor's
-    little-endian float64 bytes in `parameter_shapes` order."""
+    """Magic, `<II` version and config length, JSON config, then model.flat's
+    little-endian float64 bytes, which lay the tensors out in `parameter_shapes` order."""
+    _check_views(model)
     cfg_json = json.dumps(asdict(model.config)).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_FORMAT_VERSION, len(cfg_json)))
-        fh.write(cfg_json)
-        for name, shape in parameter_shapes(model.config).items():
-            value = model.params[name].value
-            if value.shape != shape:
-                raise ModelError(f"parameter {name}: {value.shape} vs {shape}")
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_FORMAT_VERSION, len(cfg_json))
+                 + cfg_json + model.flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> PredictorModel:
@@ -330,10 +331,4 @@ def load_model(path) -> PredictorModel:
     needed = 8 * parameter_count(cfg)
     if len(blob) - offset != needed:
         raise CorruptFile(f"payload is {len(blob) - offset} bytes, config needs {needed}")
-    params = {}
-    for name, shape in parameter_shapes(cfg).items():
-        size = math.prod(shape)
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        params[name] = Tensor(data.reshape(shape).astype(np.float64))
-        offset += 8 * size
-    return PredictorModel(config=cfg, params=params)
+    return PredictorModel(cfg, np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64))

@@ -225,6 +225,22 @@ class TestPredictBatching:
             preds = hn.predict(model, [r.graph for r in split.test], "tart")
             assert hn.tau_table(preds, truth) == history[epochs - 1]["tau"]
 
+    def test_history_scores_in_predict_chunks(self, monkeypatch):
+        """The last epoch's eval cuts the test split into predict's chunks, so
+        its predictions are predict's bit for bit when the split spans several."""
+        split = small_split(count=300, n_train=40)  # 260 test graphs: 5 chunks of 64
+        monkeypatch.setattr(hn, "PREDICT_CHUNK_BATCHES", 1)
+        scored, tau_table = [], hn.tau_table
+
+        def recording_tau_table(predictions, targets):
+            scored.append(predictions)
+            return tau_table(predictions, targets)
+
+        monkeypatch.setattr(hn, "tau_table", recording_tau_table)
+        with_cpus(monkeypatch, 2)
+        model, _ = tart.train_predictor(split, tiny_train_config(epochs=2))
+        assert np.array_equal(scored[-1], hn.predict(model, [r.graph for r in split.test], "tart"))
+
 
 def with_cpus(monkeypatch, n):
     """Make the process look as if its affinity mask held n CPUs."""

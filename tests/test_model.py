@@ -76,6 +76,8 @@ def finite_difference_check(model, tokens, mask, targets, stats,
 
 UNIT_STATS = (np.zeros(4), np.ones(4))
 TART_V4_CHECKPOINT = Path(__file__).resolve().parent / "data" / "tart_v4.ckpt"
+# a 1-layer tart model (d_model 4, 2 heads, d_ff 8, d_p 3, dropout 0.1) trained one epoch
+TART_V5_CHECKPOINT = Path(__file__).resolve().parent / "data" / "tart_v5.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +376,10 @@ def attention_chain(x, weights, n_heads, layout, slots, owner, p, rng):
     if owner is not None:
         mask = (owner[:, :, None] == owner[:, None, :])[:, None]
         pairs = mask & (owner >= 0)[:, None, :, None]
-    probs = ad.dropout(ad.softmax_masked(scores, mask), p, rng, pairs)
+    probs = ad.softmax_masked(scores, mask)
+    if rng is not None:
+        keep = ad._dropout_keep(probs.shape, p, rng, pairs)
+        probs = ad.Tensor(probs.value * keep, ((probs, lambda g: g * keep),))
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (rows * r, d))
     if slots is not None:
         ctx = gather_rows(ctx, slots)
@@ -907,19 +912,30 @@ class TestAdam:
     def test_parameters_are_updated_in_one_buffer(self):
         model = self._model()
         state = md.adam_init(model)
+        assert set(state) == {"t", "m", "v"}
         views = [model.params[name].value for name in md.parameter_shapes(model.config)]
-        assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), state["flat"])
+        assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), model.flat)
         grads = {k: np.ones_like(v.value) for k, v in model.params.items()}
         md.adam_step(model, grads, state, lr=1e-3)
         for name, view in zip(md.parameter_shapes(model.config), views):
-            assert model.params[name].value is view and view.base is state["flat"]
+            assert model.params[name].value is view and np.shares_memory(view, model.flat)
+        assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), model.flat)
+
+    def test_init_leaves_every_parameter_in_place(self):
+        model = self._model()
+        values = {name: param.value for name, param in model.params.items()}
+        before = model.flat.copy()
+        md.adam_init(model)
+        assert all(model.params[name].value is value for name, value in values.items())
+        assert np.array_equal(model.flat, before)
 
     def test_parameter_rebound_off_the_buffer(self):
         model = self._model()
         state = md.adam_init(model)
         model.params["layer0.ffn.b1"].value = model.params["layer0.ffn.b1"].value.copy()
         grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
-        with pytest.raises(md.ModelError, match="layer0.ffn.b1 no longer views the Adam buffer"):
+        with pytest.raises(md.ModelError,
+                           match="layer0.ffn.b1 no longer views the model's buffer"):
             md.adam_step(model, grads, state, lr=1e-3)
 
     def test_shape_mismatch(self):
@@ -959,6 +975,45 @@ class TestEncoderConfig:
             md.save_model(md.init_model(cfg, seed=1), path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestParameterBuffer:
+    # every Tensor would copy a float32 buffer, and no parameter would view it
+    @pytest.mark.parametrize("delta,dtype", [(-1, np.float64), (1, np.float64), (0, np.float32)],
+                             ids=["short", "long", "float32"])
+    def test_wrong_buffer_rejected(self, delta, dtype):
+        cfg = tiny_config()
+        size = md.parameter_count(cfg)
+        with pytest.raises(md.ModelError, match=rf"config needs float64 \({size},\)"):
+            md.PredictorModel(cfg, np.zeros(size + delta, dtype=dtype))
+
+    @staticmethod
+    def assert_views_flat(model):
+        start = 0
+        for name, shape in md.parameter_shapes(model.config).items():
+            value = model.params[name].value
+            end = start + value.size
+            assert value.shape == shape and np.shares_memory(value, model.flat)
+            value += 1.0  # a write through the parameter lands in its slice of flat
+            assert np.array_equal(model.flat[start:end], value.reshape(-1))
+            start = end
+        assert start == model.flat.size
+
+    def test_initialized_parameters_view_the_buffer(self):
+        self.assert_views_flat(md.init_model(tiny_config(), seed=2))
+
+    def test_loaded_parameters_view_the_buffer(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        md.save_model(md.init_model(tiny_config(), seed=2), path)
+        self.assert_views_flat(md.load_model(path))
+
+    def test_save_rejects_a_rebound_parameter(self, tmp_path):
+        model = md.init_model(tiny_config(), seed=2)
+        model.params["head.w"].value = model.params["head.w"].value + 1.0
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(md.ModelError, match="head.w no longer views the model's buffer"):
+            md.save_model(model, path)
+        assert not path.exists()
 
 
 class TestParameterCount:
@@ -1060,6 +1115,29 @@ class TestCheckpoint:
         # tanh form and predict something else
         with pytest.raises(md.VersionMismatch, match="checkpoint version 4, expected 5"):
             md.load_model(TART_V4_CHECKPOINT)
+
+    def test_committed_tart_v5_file_round_trips(self, tmp_path):
+        path = tmp_path / "again.ckpt"
+        md.save_model(md.load_model(TART_V5_CHECKPOINT), path)
+        assert path.read_bytes() == TART_V5_CHECKPOINT.read_bytes()
+
+    def test_committed_tart_v5_file_parses_by_hand(self):
+        # the format read without load_model: magic, version, header, then each
+        # tensor's little-endian float64s at its parameter_shapes offset
+        blob = TART_V5_CHECKPOINT.read_bytes()
+        assert blob[:7] == b"TARTMDL"
+        version, cfg_len = struct.unpack_from("<II", blob, 7)
+        assert version == 5
+        cfg = md.EncoderConfig(**json.loads(blob[15:15 + cfg_len]))
+        loaded = md.load_model(TART_V5_CHECKPOINT)
+        assert loaded.config == cfg
+        offset = 15 + cfg_len
+        for name, shape in md.parameter_shapes(cfg).items():
+            count = int(np.prod(shape))
+            expected = np.array(struct.unpack_from(f"<{count}d", blob, offset)).reshape(shape)
+            assert np.array_equal(loaded.params[name].value, expected)
+            offset += 8 * count
+        assert offset == len(blob)
 
     def test_pure_checkpoint_with_nonzero_d_p_header_loads(self, tmp_path):
         # a pure checkpoint written before pure configs set d_p to 0 names the d_p it was given
