@@ -10,7 +10,7 @@ np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
 # A 5-node graph: ops are primitive codes in 1..15, edges are forward flow.
 g = tart.make_graph(5, [1, 4, 4, 7, 15], [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-print("graph: 5 nodes, 5 edges, topological order", g.topo_order)
+print("graph: 5 nodes, 5 edges, longest path", tart.graphs.longest_path_length(g), "edges")
 
 # Step 1: the symmetric normalized Laplacian of the symmetrized graph.
 lap = tart.build_normalized_laplacian(g)

@@ -3,7 +3,7 @@
 A computational graph is a DAG whose nodes carry one of 15 operator
 primitive codes and whose edges describe forward activation flow. A graph
 is checked when it is built, `dataclasses.replace` copies included, so
-every instance is valid and carries its own topological order. Graphs share
+every instance is valid; a graph stores no topological order. Graphs share
 one tuple per edge (u, v), so a parsed record holds no copy of its edges' pairs.
 Datasets are stored as JSONL, one labeled graph per line; read_dataset raises
 ParseError for any faulty line, naming the line and, once parsed, the record id.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -93,7 +93,6 @@ class ComputationalGraph:
     num_nodes: int
     node_ops: tuple
     edges: tuple
-    topo_order: tuple = field(init=False)
 
     def __post_init__(self):
         try:
@@ -120,7 +119,7 @@ class ComputationalGraph:
             seen.add(e)
         object.__setattr__(self, "num_nodes", n)
         object.__setattr__(self, "node_ops", ops)
-        object.__setattr__(self, "topo_order", _topological_order(n, edges))
+        _topological_order(n, edges)  # raises on a cycle
         grow = len(_edge_cache) + len(edges) <= EDGE_CACHE_SIZE
         edges = tuple(map(_edge_cache.setdefault if grow else _edge_cache.get, edges, edges))
         object.__setattr__(self, "edges", edges)
@@ -182,14 +181,15 @@ def make_graph(num_nodes: int, node_ops, edges) -> ComputationalGraph:
 
 def longest_path_length(graph: ComputationalGraph) -> int:
     """Longest directed path, counted in edges (0 for an edgeless graph)."""
-    dist = [0] * graph.num_nodes
-    preds = [[] for _ in range(graph.num_nodes)]
+    depth = [0] * graph.num_nodes  # edges on the longest path ending at each node
+    succs = [[] for _ in range(graph.num_nodes)]
     for u, v in graph.edges:
-        preds[v].append(u)
-    for node in graph.topo_order:
-        if preds[node]:
-            dist[node] = 1 + max(dist[p] for p in preds[node])
-    return max(dist) if dist else 0
+        succs[u].append(v)
+    for node in _topological_order(graph.num_nodes, graph.edges):
+        for succ in succs[node]:
+            if depth[succ] <= depth[node]:
+                depth[succ] = depth[node] + 1
+    return max(depth)
 
 
 # -- JSONL serialization ------------------------------------------------------

@@ -206,8 +206,8 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
     """Train on split.train; returns (model, history).
 
     history is one dict per epoch with mean train loss and, when the test
-    split is labeled and eval_each_epoch is set, per-target test tau. The
-    model's parameters hold no gradients.
+    split is labeled and eval_each_epoch is set, per-target test tau. No
+    parameter holds a gradient: backward_pass returns each step's as one array.
     Fully deterministic under cfg.seed; test labels never influence the
     trained parameters.
 
@@ -257,9 +257,9 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
                     idx = perm[start:start + cfg.batch_size]
                     mats = [train_mats[i] for i in idx]
                     batch = pad_batch(mats, max(len(m) for m in mats))
-                    loss, grads = backward_pass(model, batch.tokens, batch.mask, train_z[idx],
-                                                dropout_seed=cfg.seed * 1_000_003 + step)
-                    adam_step(model, grads, state, lr=cfg.lr)
+                    loss, grad = backward_pass(model, batch.tokens, batch.mask, train_z[idx],
+                                               dropout_seed=cfg.seed * 1_000_003 + step)
+                    adam_step(model, grad, state, lr=cfg.lr)
                     losses.append(loss)
                     step += 1
                 if pending is not None:
@@ -276,8 +276,6 @@ def train_predictor(split: DatasetSplit, cfg: TrainConfig):
             if pending is not None:
                 pending.result()  # the earlier epoch's eval error comes first, as serially
             raise
-    for param in model.params.values():
-        param.grad = None  # nothing reads the last step's gradients
     return model, history
 
 

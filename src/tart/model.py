@@ -250,23 +250,26 @@ def loss_mse(preds: Tensor, z: np.ndarray) -> Tensor:
 
 def backward_pass(model: PredictorModel, tokens: np.ndarray, mask: np.ndarray,
                   z: np.ndarray, *, dropout_seed: int = 0):
-    """Train-mode forward (dropout drawn from dropout_seed) + loss against the
-    z-scored targets z + reverse sweep; returns (loss value, grads by name)."""
+    """Train-mode forward (dropout drawn from dropout_seed) + loss against the z-scored
+    targets z + reverse sweep; returns (loss value, gradient laid out as model.flat)."""
     preds = encoder_forward(model, tokens, mask, train=True, dropout_seed=dropout_seed)
     loss = loss_mse(preds, z)
     ad.backward(loss)
-    grads = {name: param.grad for name, param in model.params.items()}
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ModelError(f"non-finite activation after gradient of {name}")
-    return float(loss.value), grads
+    params = model.params.values()
+    grad = np.concatenate([param.grad.reshape(-1) for param in params])
+    for param in params:
+        param.grad = None  # the gradient lives in grad alone
+    if not np.all(np.isfinite(grad)):
+        ends = accumulate(param.value.size for param in params)
+        name = next(n for n, end in zip(model.params, ends) if not np.isfinite(grad[:end]).all())
+        raise ModelError(f"non-finite activation after gradient of {name}")
+    return float(loss.value), grad
 
 
 # -- Adam ---------------------------------------------------------------------
 
 def adam_init(model: PredictorModel) -> dict:
-    """Step count and the first and second moments of every parameter, laid
-    out as model.flat."""
+    """Step count and the first and second moments, each laid out as model.flat."""
     return {"t": 0, "m": np.zeros(model.flat.size), "v": np.zeros(model.flat.size)}
 
 
@@ -276,21 +279,19 @@ def _check_views(model: PredictorModel) -> None:
             raise ModelError(f"parameter {name} no longer views the model's buffer")
 
 
-def adam_step(model: PredictorModel, grads: dict, state: dict, lr: float) -> None:
+def adam_step(model: PredictorModel, grad: np.ndarray, state: dict, lr: float) -> None:
     """In-place Adam update with bias correction, over all parameters at once,
-    on model.flat."""
+    on model.flat, from a gradient laid out as model.flat (see backward_pass)."""
     _check_views(model)
-    for name, param in model.params.items():
-        if grads[name].shape != param.value.shape:
-            raise ModelError(f"gradient for {name}: {grads[name].shape} vs {param.value.shape}")
+    if grad.shape != model.flat.shape:
+        raise ModelError(f"gradient shape {grad.shape}, parameter buffer {model.flat.shape}")
     state["t"] += 1
     t = state["t"]
-    g = np.concatenate([grads[name].reshape(-1) for name in model.params])
     m, v = state["m"], state["v"]
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += (1 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
-    v += ((1 - ADAM_BETA2) * g) * g
+    v += ((1 - ADAM_BETA2) * grad) * grad
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
     model.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -41,6 +42,16 @@ def shared_row_batch(rng):
     return tokens, mask
 
 
+def grad_by_name(model, grad):
+    """Name -> view of grad, a gradient laid out as model.flat, cut by parameter_shapes."""
+    views, start = {}, 0
+    for name, shape in md.parameter_shapes(model.config).items():
+        end = start + math.prod(shape)
+        views[name] = grad[start:end].reshape(shape)
+        start = end
+    return views
+
+
 def finite_difference_check(model, tokens, mask, targets, stats,
                             n_coords=200, eps=1e-5, seed=0):
     """Central finite differences against analytic gradients, on the targets
@@ -51,7 +62,8 @@ def finite_difference_check(model, tokens, mask, targets, stats,
     """
     mean, std = stats
     z = (targets - mean) / std
-    _, grads = md.backward_pass(model, tokens, mask, z)
+    _, grad = md.backward_pass(model, tokens, mask, z)
+    grads = grad_by_name(model, grad)
     names = list(model.params)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -346,7 +358,8 @@ class TestKernelsMatchReference:
         grng = np.random.default_rng(5)
         for t in range(1, 6):
             grads = {k: grng.normal(size=x.shape) for k, x in values.items()}
-            md.adam_step(model, grads, state, lr=1e-2)
+            md.adam_step(model, np.concatenate([g.reshape(-1) for g in grads.values()]),
+                         state, lr=1e-2)
             reference_step(values, grads, m, v, t, lr=1e-2)
         for name, param in model.params.items():
             assert np.array_equal(param.value, values[name])
@@ -512,11 +525,36 @@ class TestGradientFidelity:
         model.params["head.w"].value[:] = 0.0
         tokens, mask = random_batch(rng)
         targets = rng.normal(size=(3, 4))
-        _, grads = md.backward_pass(model, tokens, mask, targets)
-        for name, g in grads.items():
+        _, grad = md.backward_pass(model, tokens, mask, targets)
+        for name, g in grad_by_name(model, grad).items():
             if name.startswith("head"):
                 continue
             assert np.all(g == 0.0), name
+
+    def test_non_finite_gradient_names_the_first_parameter(self):
+        # targets of 1e308 leave the forward finite, and twice the residual overflows
+        rng = np.random.default_rng(2)
+        model = md.init_model(tiny_config(), seed=4)
+        tokens, mask = random_batch(rng)
+        with np.errstate(all="ignore"):
+            with pytest.raises(md.ModelError,
+                               match=r"^non-finite activation after gradient of input_proj.w$"):
+                md.backward_pass(model, tokens, mask, np.full((3, 4), 1e308))
+
+    def test_gradient_is_laid_out_as_the_buffer(self):
+        # dropout on and graphs sharing an attention row: every path of the sweep runs
+        rng = np.random.default_rng(6)
+        model = md.init_model(tiny_config(dropout_p=0.1), seed=5)
+        tokens, mask = shared_row_batch(rng)
+        z = rng.normal(size=(4, 4))
+        loss, grad = md.backward_pass(model, tokens, mask, z, dropout_seed=9)
+        assert all(param.grad is None for param in model.params.values())
+        raw = md.loss_mse(md.encoder_forward(model, tokens, mask, train=True, dropout_seed=9), z)
+        ad.backward(raw)
+        expected = np.concatenate([model.params[name].grad.reshape(-1)
+                                   for name in md.parameter_shapes(model.config)])
+        assert grad.dtype == np.float64 and grad.shape == model.flat.shape
+        assert grad.tobytes() == expected.tobytes() and loss == float(raw.value)
 
 
 class TestNoTape:
@@ -570,13 +608,13 @@ class TestNoTape:
         model = md.init_model(tiny_config(), seed=2)
         tokens, mask = shared_row_batch(rng)
         targets = rng.normal(size=(4, 4))
-        loss, grads = md.backward_pass(model, tokens, mask, targets)
+        loss, grad = md.backward_pass(model, tokens, mask, targets)
         with ad.no_tape():
             md.encoder_forward(model, tokens, mask)
-        loss_after, grads_after = md.backward_pass(model, tokens, mask, targets)
+        loss_after, grad_after = md.backward_pass(model, tokens, mask, targets)
         assert loss_after == loss
-        assert all(np.any(g != 0.0) for g in grads.values())
-        assert all(np.array_equal(grads[name], grads_after[name]) for name in grads)
+        assert all(np.any(g != 0.0) for g in grad_by_name(model, grad).values())
+        assert np.array_equal(grad, grad_after)
 
 
 class TestSpentTape:
@@ -797,9 +835,10 @@ class TestPacking:
         model = md.init_model(tiny_config(), seed=10)
         tokens, mask = shared_row_batch(rng)
         targets = rng.normal(size=(4, 4))
-        _, grads = md.backward_pass(model, tokens, mask, targets)
-        singles = [md.backward_pass(model, tokens[b][mask[b]][None], mask[b][mask[b]][None],
-                                    targets[b][None])[1] for b in range(4)]
+        grads = grad_by_name(model, md.backward_pass(model, tokens, mask, targets)[1])
+        singles = [grad_by_name(model, md.backward_pass(
+            model, tokens[b][mask[b]][None], mask[b][mask[b]][None], targets[b][None])[1])
+            for b in range(4)]
         # relative to the largest gradient entry: some entries (the key biases') are zero
         # up to rounding in both
         largest = max(np.max(np.abs(g)) for g in grads.values())
@@ -877,8 +916,7 @@ class TestAdam:
         model = self._model()
         before = {k: v.value.copy() for k, v in model.params.items()}
         state = md.adam_init(model)
-        grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
-        md.adam_step(model, grads, state, lr=1e-3)
+        md.adam_step(model, np.zeros_like(model.flat), state, lr=1e-3)
         assert state["t"] == 1
         for k, v in model.params.items():
             assert np.array_equal(v.value, before[k])
@@ -888,26 +926,22 @@ class TestAdam:
         model = self._model()
         state = md.adam_init(model)
         before = model.params["head.b"].value.copy()
-        grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
-        grads["head.b"] = np.ones_like(before)
-        md.adam_step(model, grads, state, lr=0.01)
+        grad = np.zeros_like(model.flat)
+        grad_by_name(model, grad)["head.b"][...] = 1.0
+        md.adam_step(model, grad, state, lr=0.01)
         delta = model.params["head.b"].value - before
         assert np.allclose(delta, -0.01 / (1.0 + 1e-8), atol=1e-12)
 
     def test_deterministic_updates(self):
-        rng = np.random.default_rng(3)
         results = []
         for _ in range(2):
             model = self._model()
             state = md.adam_init(model)
             grng = np.random.default_rng(77)
             for _ in range(5):
-                grads = {k: grng.normal(size=v.value.shape)
-                         for k, v in model.params.items()}
-                md.adam_step(model, grads, state, lr=1e-3)
-            results.append({k: v.value.copy() for k, v in model.params.items()})
-        for k in results[0]:
-            assert np.array_equal(results[0][k], results[1][k])
+                md.adam_step(model, grng.normal(size=model.flat.shape), state, lr=1e-3)
+            results.append(model.flat.copy())
+        assert np.array_equal(results[0], results[1])
 
     def test_parameters_are_updated_in_one_buffer(self):
         model = self._model()
@@ -915,8 +949,7 @@ class TestAdam:
         assert set(state) == {"t", "m", "v"}
         views = [model.params[name].value for name in md.parameter_shapes(model.config)]
         assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), model.flat)
-        grads = {k: np.ones_like(v.value) for k, v in model.params.items()}
-        md.adam_step(model, grads, state, lr=1e-3)
+        md.adam_step(model, np.ones_like(model.flat), state, lr=1e-3)
         for name, view in zip(md.parameter_shapes(model.config), views):
             assert model.params[name].value is view and np.shares_memory(view, model.flat)
         assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), model.flat)
@@ -933,18 +966,20 @@ class TestAdam:
         model = self._model()
         state = md.adam_init(model)
         model.params["layer0.ffn.b1"].value = model.params["layer0.ffn.b1"].value.copy()
-        grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
         with pytest.raises(md.ModelError,
                            match="layer0.ffn.b1 no longer views the model's buffer"):
-            md.adam_step(model, grads, state, lr=1e-3)
+            md.adam_step(model, np.zeros_like(model.flat), state, lr=1e-3)
 
     def test_shape_mismatch(self):
+        # a gradient of the wrong size, or of the right size and the wrong rank
         model = self._model()
         state = md.adam_init(model)
-        grads = {k: np.zeros_like(v.value) for k, v in model.params.items()}
-        grads["head.b"] = np.zeros(99)
-        with pytest.raises(md.ModelError, match=r"gradient for head.b: \(99,\) vs \(4,\)"):
-            md.adam_step(model, grads, state, lr=1e-3)
+        size = model.flat.size
+        for shape, shown in [((99,), r"\(99,\)"), ((1, size), rf"\(1, {size}\)")]:
+            with pytest.raises(md.ModelError,
+                               match=rf"^gradient shape {shown}, parameter buffer \({size},\)$"):
+                md.adam_step(model, np.zeros(shape), state, lr=1e-3)
+        assert state["t"] == 0 and not state["m"].any()
 
 
 class TestEncoderConfig:

@@ -92,3 +92,22 @@ def test_traced_predict_on_two_threads_counts_each_graph_once(monkeypatch):
     assert stacks < len(records)  # some node count holds two graphs
     assert tracer.calls["tokens.assemble"] == tracer.calls["spectral.eigh"] == stacks
     assert tracer.calls["model.encoder_forward"] == 8
+
+
+def test_traced_train_spans_every_step(monkeypatch):
+    # every step's backward pass and Adam update run inside the traced `train` unit's
+    # spans: 20 graphs in batches of 8 make 3 steps an epoch
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    import tracing
+
+    records = graphs.generate_synthetic(30, 8, 0.4, 0.05, seed=0)
+    split = graphs.split_dataset(records, 20, seed=0)
+    encoder = model.EncoderConfig(n_layer=1, d_model=8, n_heads=2, d_ff=8, dropout_p=0.1)
+    cfg = harness.TrainConfig(epochs=2, batch_size=8, seed=0, lr=1e-3, mode="tart",
+                              model=encoder)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.train_predictor(split, cfg)
+    assert tracer.calls["harness.train_predictor"] == 1
+    assert tracer.calls["model.backward_pass"] == tracer.calls["model.adam_step"] == 6
